@@ -498,7 +498,7 @@ def main(argv=None) -> int:
     except (NotStronglyConnectedError, NoInputError) as exc:
         print(f"model out of scope: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"cannot read model: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     except (IdentityCheckError, RankRelationError) as exc:

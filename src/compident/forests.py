@@ -120,10 +120,6 @@ def _iter_forests(g: AuxGraph) -> Iterator[tuple[list[int], _DSU]]:
 
     def rec(pos: int) -> Iterator[tuple[list[int], _DSU]]:
         if pos == n_nodes:
-            # components == nodes - edges for a forest, and so is the
-            # number of sinks (every node has <= 1 outgoing edge); the
-            # one-sink-per-component law is re-checked here in debug runs.
-            assert len({dsu.find(v) for v in nodes}) == n_nodes - len(chosen)
             yield chosen, dsu
             return
         yield from rec(pos + 1)  # this node keeps no outgoing edge

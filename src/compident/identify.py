@@ -6,6 +6,19 @@ identifiable exactly when the Jacobian of that map has full column rank
 at a generic parameter point, and it has expected dimension when the rank
 reaches min(parameter count, coefficient count).
 
+Every coefficient is a coefficient of ``det(lambda*I - A)`` or of an
+entry of ``adj(lambda*I - A)``, so the Jacobian is evaluated at a point
+straight from the matrix, with no polynomial ever expanded.  At the point
+the adjugate and the characteristic polynomial come from Faddeev-LeVerrier
+(n - 1 sparse matrix products mod p).  Each parameter sits in one column
+of A, so the partials of ``det`` are differences of adjugate entries, and
+those of the adjugate follow from the Jacobi identity by one exact
+division by the monic characteristic polynomial.  A trial costs
+O(n^4 + k n^2) for k parameters.  Which coefficients are non-constant is
+read off the graph (forest sizes, terminal components and the
+input-to-output distance) in O(n + e).  The forest polynomials themselves
+(:attr:`CoefficientMap.entries`) are only expanded on request.
+
 Rank at a generic point is computed by evaluating the Jacobian at random
 points over large prime fields.  Rank at any concrete point is a lower
 bound for the generic rank, so a full-rank observation is conclusive; a
@@ -25,9 +38,11 @@ can be bypassed (``force_rank``) to re-derive a verdict from rank alone.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 from .families import is_bidirectional_tree
 from .forests import lhs_coefficients, rhs_coefficients
@@ -62,21 +77,47 @@ class CoefficientMap:
 
     Order: outputs ascending; per output the left-side coefficients by
     descending derivative order, then per input (ascending) the
-    right-side coefficients by descending order.  Constants (0 and 1) are
-    excluded by a symbolic degree test, never by counting formulas.
+    right-side coefficients by descending order.  Each coefficient is
+    named by ``(output, input, k)``: input None stands for the left-side
+    ``c_k``, an input compartment for the right-side ``d_k``.  Constants
+    (0 and 1) are excluded.
     """
 
-    entries: Tuple[Poly, ...]
-    labels: Tuple[str, ...]
+    model: Model
     params: Tuple[Param, ...]
+    coeffs: Tuple[Tuple[int, Optional[int], int], ...]
+
+    @property
+    def labels(self) -> Tuple[str, ...]:
+        return tuple(f"y{out}.c{k}" if inp is None else f"y{out}.u{inp}.d{k}"
+                     for (out, inp, k) in self.coeffs)
 
     @property
     def m(self) -> int:
-        return len(self.entries)
+        return len(self.coeffs)
 
     @property
     def p(self) -> int:
         return len(self.params)
+
+    @cached_property
+    def entries(self) -> Tuple[Poly, ...]:
+        """The coefficient polynomials, expanded from the forest formulas.
+
+        Exponential in the model size.  The rank path never reads them;
+        they serve as the symbolic oracle and for display.
+        """
+        cs = lhs_coefficients(self.model)
+        ds: dict[tuple[int, int], list[Poly]] = {}
+        entries = []
+        for (out, inp, k) in self.coeffs:
+            if inp is None:
+                entries.append(cs[k])
+                continue
+            if (out, inp) not in ds:
+                ds[(out, inp)] = rhs_coefficients(self.model, out, inp)[1]
+            entries.append(ds[(out, inp)][k])
+        return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -113,55 +154,210 @@ class DimReport:
 
 
 def coefficient_map(m: Model) -> CoefficientMap:
-    """Build the coefficient map from the forest formulas."""
+    """The coefficient map's layout, read off the graph in O(n + e).
+
+    ``c_k`` sums the (n-k)-edge forests of the leak-augmented graph, and
+    ``d_k`` the (n-k-1)-edge forests of the graph stripped at the output
+    that join input and output.  A forest sum has positive coefficients
+    and is homogeneous of degree its edge count, so a coefficient is
+    non-constant exactly when a forest of its size, at least one edge,
+    exists.  The sizes that exist form an interval.  At the top, every
+    terminal strongly connected component needs a root of its own, so the
+    largest forest has n + 1 minus that many edges.  At the bottom, a
+    forest that joins input and output contains a path between them, so
+    ``d`` starts at dist(input, output) and is empty when the output
+    cannot be reached.
+    """
     if not m.inputs:
         raise NoInputError("model has no inputs")
-    params = param_vector(m)
-    cs = lhs_coefficients(m)
-    entries: list[Poly] = []
-    labels: list[str] = []
+    n = m.n
+    succ: list[list[int]] = [[] for _ in range(n + 1)]   # node 0: leak sink
+    for (f, t) in m.edges:
+        succ[f].append(t)
+    for j in m.leaks:
+        succ[j].append(0)
+    lhs_top = n + 1 - _terminal_components(succ)
+    coeffs: list[tuple[int, Optional[int], int]] = []
     for out in sorted(m.outputs):
-        for k in range(m.n - 1, -1, -1):
-            if not cs[k].is_constant():
-                entries.append(cs[k])
-                labels.append(f"y{out}.c{k}")
+        coeffs += [(out, None, n - s) for s in range(1, lhs_top + 1)]
+        rhs_top = n + 1 - _terminal_components(
+            succ[:out] + [[]] + succ[out + 1:])
         for inp in sorted(m.inputs):
-            _sign, ds = rhs_coefficients(m, out, inp)
-            for k in range(m.n - 1, -1, -1):
-                if not ds[k].is_constant():
-                    entries.append(ds[k])
-                    labels.append(f"y{out}.u{inp}.d{k}")
-    return CoefficientMap(tuple(entries), tuple(labels), params)
+            dist = distance(m, inp, out)
+            if dist != math.inf:
+                coeffs += [(out, inp, n - 1 - s)
+                           for s in range(max(int(dist), 1), rhs_top + 1)]
+    return CoefficientMap(m, param_vector(m), tuple(coeffs))
 
 
-def _jacobian_mod_point(cm: CoefficientMap, point: FieldPoint) -> list[list[int]]:
-    """All partial derivatives of every entry, evaluated at the point.
+def _terminal_components(succ: list[list[int]]) -> int:
+    """Strongly connected components with no edge leaving them.
 
-    Uses the product-rule shortcut: for a term c*x^e*R the partial with
-    respect to x is e/x times the term's value, and the point coordinates
-    are nonzero mod the prime by construction.  Agrees exactly with
-    evaluating the formal derivative polynomials (property-tested).
+    Iterative Tarjan: a component is complete when it is popped, and every
+    component it has edges into was popped before it.
     """
-    p = point.prime
-    col = {par: k for k, par in enumerate(cm.params)}
-    inv = {par: pow(v, p - 2, p) for par, v in point.values.items()}
+    size = len(succ)
+    index = [0] * size        # visit order, from 1; 0 = unvisited
+    low = [0] * size
+    comp = [-1] * size
+    stack: list[int] = []
+    visits = components = terminal = 0
+    for root in range(size):
+        if index[root]:
+            continue
+        visits += 1
+        index[root] = low[root] = visits
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not index[w]:
+                    visits += 1
+                    index[w] = low[w] = visits
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0:               # w is still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        comp[members[-1]] = components
+                    terminal += all(comp[w] == components
+                                    for u in members for w in succ[u])
+                    components += 1
+    return terminal
+
+
+def _inverses(n: int, p: int) -> list[int]:
+    """1/k mod p for k = 1..n (index k), by inv(k) = -(p // k) inv(p % k)."""
+    inv = [0, 1]
+    for k in range(2, n + 1):
+        inv.append((p - p // k) * inv[p % k] % p)
+    return inv
+
+
+def _adjugate(a_rows: list[list[tuple[int, int]]],
+              p: int) -> tuple[list[list[list[int]]], list[int]]:
+    """adj(lambda*I - A) and det(lambda*I - A) mod p, by Faddeev-LeVerrier.
+
+    ``a_rows[i]`` lists the nonzero ``(j, A[i][j])`` of row i (0-based).
+    Returns ``(B, c)``: ``B[k]`` is the matrix coefficient of lambda^k in
+    the adjugate (k < n) and ``c[k]`` the coefficient of lambda^k in the
+    monic characteristic polynomial.  It takes n - 1 sparse matrix
+    products; the only inverses are those of 1..n.
+    """
+    n = len(a_rows)
+    inv = _inverses(n, p)
+    c = [0] * (n + 1)
+    c[n] = 1
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    B = [M] * n                 # B[n - 1] = I; the others are set below
+    for k in range(1, n):
+        AM = []
+        for row in a_rows:
+            acc = [0] * n
+            for j, a in row:
+                acc = [x + a * y for x, y in zip(acc, M[j])]
+            AM.append(acc)
+        c[n - k] = -sum(AM[i][i] for i in range(n)) * inv[k] % p
+        M = [[x % p for x in row] for row in AM]
+        for i in range(n):
+            M[i][i] = (M[i][i] + c[n - k]) % p
+        B[n - 1 - k] = M
+    c[0] = -sum(a * M[j][i] for i, row in enumerate(a_rows)
+                for j, a in row) * inv[n] % p
+    return B, c
+
+
+def _jacobian_at(cm: CoefficientMap, point: FieldPoint) -> list[list[int]]:
+    """The Jacobian of the coefficient map at the point, mod its prime.
+
+    With M = lambda*I - A, c = det M and d = adj(M)[out][in].  Parameter
+    ``a_ij`` sits at M[i][j] as -a_ij and at M[j][j] as +a_ij (``a_0j``
+    only at M[j][j]), so every coefficient is affine in it.  Then
+    ``dc/da_ij = adj_jj - adj_ji``, and by the Jacobi identity
+    ``d adj_ab / d M_rc = (adj_cr adj_ab - adj_ar adj_cb) / c`` ::
+
+        dd/da_ij = ((adj_jj - adj_ji) d - adj_j,in (adj_out,j - adj_out,i)) / c
+
+    where the division by the monic c is exact.  The numbers equal the
+    partial derivatives of the forest polynomials at the point.
+    """
+    model, p, values = cm.model, point.prime, point.values
+    n = model.n
+    a_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    diag = [0] * n
+    for (i, j) in cm.params:
+        v = values[(i, j)]
+        diag[j - 1] -= v
+        if i:
+            a_rows[i - 1].append((j - 1, v))
+    for j in range(n):
+        a_rows[j].append((j, diag[j] % p))
+    B, c = _adjugate(a_rows, p)
+    # adj[a][b]: entry (a, b) of adj(M), 0-based, by ascending powers; per
+    # parameter a_ij the 0-based (i, j), with i None for a leak a_0j
+    adj = [list(zip(*(Bk[a] for Bk in B))) for a in range(n)]
+    cols = [(i - 1 if i else None, j - 1) for (i, j) in cm.params]
+
+    def diff(row: list, j: int, i: Optional[int]) -> tuple:
+        """row[j] - row[i], or row[j] alone for a leak."""
+        if i is None:
+            return row[j]
+        return tuple((a - b) % p for a, b in zip(row[j], row[i]))
+
+    lhs = [diff(adj[j], j, i) for (i, j) in cols]
+    rhs: dict[tuple[int, int], list[list[int]]] = {}
     rows = []
-    for f in cm.entries:
-        row = [0] * len(cm.params)
-        for mono, c in f.terms.items():
-            val = c % p
-            for par, e in mono:
-                v = point.values[par]
-                val = val * (v if e == 1 else pow(v, e, p)) % p
-            for par, e in mono:
-                j = col[par]
-                row[j] = (row[j] + e * val * inv[par]) % p
-        rows.append(row)
+    for (out, inp, k) in cm.coeffs:
+        if inp is None:
+            rows.append([du[k] for du in lhs])
+            continue
+        if (out, inp) not in rhs:
+            row_o = adj[out - 1]
+            rhs[(out, inp)] = [
+                _exact_quotient(du, row_o[inp - 1], adj[j][inp - 1],
+                                diff(row_o, j, i), c, p)
+                for du, (i, j) in zip(lhs, cols)]
+        rows.append([dd[k] for dd in rhs[(out, inp)]])
     return rows
 
 
+def _exact_quotient(u: Sequence[int], d: Sequence[int], w: Sequence[int],
+                    v: Sequence[int], c: Sequence[int], p: int) -> list[int]:
+    """(u*d - w*v) / c for polynomials of degree < n and a monic c of
+    degree n, where the division is known to be exact.
+
+    Only the numerator's coefficients of lambda^n and up enter the
+    quotient, so only those are formed; the rest would be the zero
+    remainder.
+    """
+    n = len(u)
+    top = [sum(u[a] * d[e - a] - w[a] * v[e - a] for a in range(e - n + 1, n))
+           for e in range(n, 2 * n - 1)]
+    q = [0] * n
+    for t in range(n - 2, -1, -1):
+        qt = top[t] % p
+        q[t] = qt
+        for s in range(n - t, n):
+            top[t + s - n] -= qt * c[s]
+    return q
+
+
 def _rank_mod(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination rank over the prime field."""
+    """Gaussian elimination rank over the prime field.
+
+    Rows are scaled by the pivot instead of divided by it, which leaves
+    the rank unchanged and needs no modular inverse.
+    """
     if not rows:
         return 0
     M = [row[:] for row in rows]
@@ -176,12 +372,12 @@ def _rank_mod(rows: list[list[int]], p: int) -> int:
         if pivot is None:
             continue
         M[rank], M[pivot] = M[pivot], M[rank]
-        inv = pow(M[rank][c], p - 2, p)
-        M[rank] = [x * inv % p for x in M[rank]]
+        row = M[rank]
+        pv = row[c] % p
         for i in range(rank + 1, n_rows):
             f = M[i][c] % p
             if f:
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[rank])]
+                M[i] = [(pv * a - f * b) % p for a, b in zip(M[i], row)]
         rank += 1
         if rank == n_rows:
             break
@@ -192,10 +388,14 @@ def generic_rank(cm: CoefficientMap, trials: int = DEFAULT_TRIALS,
                  seed: int = DEFAULT_SEED) -> RankReport:
     """Max Jacobian rank over random evaluations, one prime per trial.
 
-    Each trial draws a uniform point with nonzero coordinates from its own
-    deterministic RNG seeded by (seed, trial index).  Trials stop early
-    once the rank reaches min(p, m): no further trial can raise it, so the
-    reported rank is unchanged and stays monotone in the trial budget.
+    Trial t draws a uniform point with nonzero coordinates from its own
+    deterministic RNG seeded by ``seed + t``, over ``PRIMES[t % 3]``.
+    So trial t of seed s draws the same point as trial 0 of seed s + t,
+    taken over another prime unless t is a multiple of 3: ranks at
+    nearby seeds share draws and are not independent evidence.  Trials stop
+    early once the rank reaches min(p, m): no further trial can raise it,
+    so the reported rank is unchanged and stays monotone in the trial
+    budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -207,7 +407,7 @@ def generic_rank(cm: CoefficientMap, trials: int = DEFAULT_TRIALS,
         trial_seed = seed + t
         rng = random.Random(trial_seed)
         point = FieldPoint.random(cm.params, prime, rng)
-        r = _rank_mod(_jacobian_mod_point(cm, point), prime)
+        r = _rank_mod(_jacobian_at(cm, point), prime)
         results.append(TrialResult(prime, trial_seed, r))
         if r > best:
             best = r

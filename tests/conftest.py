@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from compident.forests import lhs_coefficients, rhs_coefficients
 from compident.graphs import AuxGraph
 from compident.model import Model
 from compident.poly import Poly
@@ -163,6 +164,51 @@ def rational_generic_rank(entries, params, rng, attempts: int = 3) -> int:
                  for p in params}
         best = max(best, rational_jacobian_rank(entries, params, point))
     return best
+
+
+# ---------------------------------------------------------------------
+# Jacobian oracle: partial derivatives of the expanded polynomials
+
+
+def symbolic_jacobian_mod_point(entries, params, point) -> list[list[int]]:
+    """All partial derivatives of every entry, evaluated at the point.
+
+    Uses the product-rule shortcut: for a term c*x^e*R the partial with
+    respect to x is e/x times the term's value, and the point coordinates
+    are nonzero mod the prime by construction.  Works on the expanded
+    polynomials, so it shares nothing with the package's adjugate route.
+    """
+    p = point.prime
+    col = {par: k for k, par in enumerate(params)}
+    inv = {par: pow(v, p - 2, p) for par, v in point.values.items()}
+    rows = []
+    for f in entries:
+        row = [0] * len(params)
+        for mono, c in f.terms.items():
+            val = c % p
+            for par, e in mono:
+                v = point.values[par]
+                val = val * (v if e == 1 else pow(v, e, p)) % p
+            for par, e in mono:
+                j = col[par]
+                row[j] = (row[j] + e * val * inv[par]) % p
+        rows.append(row)
+    return rows
+
+
+def symbolic_labels(m: Model) -> tuple[str, ...]:
+    """Coefficient-map labels from the expanded forest polynomials: every
+    coefficient that is not a constant, in the map's order."""
+    cs = lhs_coefficients(m)
+    labels = []
+    for out in sorted(m.outputs):
+        labels += [f"y{out}.c{k}" for k in range(m.n - 1, -1, -1)
+                   if not cs[k].is_constant()]
+        for inp in sorted(m.inputs):
+            _sign, ds = rhs_coefficients(m, out, inp)
+            labels += [f"y{out}.u{inp}.d{k}" for k in range(m.n - 1, -1, -1)
+                       if not ds[k].is_constant()]
+    return tuple(labels)
 
 
 # ---------------------------------------------------------------------

@@ -65,6 +65,12 @@ def test_analyze_missing_file(capsys):
     assert code == EXIT_INVALID_MODEL
 
 
+def test_analyze_unreadable_path(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "analyze", str(tmp_path))
+    assert code == EXIT_INVALID_MODEL
+    assert "cannot read model" in err
+
+
 def test_analyze_not_strongly_connected(capsys, tmp_path):
     path = tmp_path / "open.json"
     path.write_text('{"compartments": 2, "edges": [{"from": 1, "to": 2}], '

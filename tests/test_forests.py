@@ -14,6 +14,7 @@ from compident.families import (
 from compident.forests import (
     Forest,
     ForestQuery,
+    _iter_forests,
     enumerate_forests,
     forest_sums_by_size,
     lhs_coefficients,
@@ -91,6 +92,24 @@ def test_each_component_has_exactly_one_sink():
                 for comp in undirected_components(g, f.edge_indices):
                     sinks = [v for v in comp if v not in sources]
                     assert len(sinks) == 1
+
+
+def test_live_union_find_has_one_component_per_missing_edge():
+    # at every leaf of the enumeration the union-find holds nodes - edges
+    # components: one per sink, as every node keeps at most one out-edge
+    rng = random.Random(37)
+    hosts = [random_aux_graph(rng) for _ in range(8)]
+    for _ in range(4):
+        m = random_strongly_connected_model(rng, rng.randrange(2, 5))
+        hosts.append(flip_into_leak(m, rng.randrange(1, m.n + 1)))
+    for g in hosts:
+        leaves = 0
+        for chosen, dsu in _iter_forests(g):
+            roots = {dsu.find(v) for v in g.nodes}
+            assert len(roots) == len(g.nodes) - len(chosen)
+            leaves += 1
+        assert leaves == sum(sum(p.terms.values())
+                             for p in forest_sums_by_size(g))
 
 
 def test_pair_forests_contain_directed_path():

@@ -1,5 +1,6 @@
 """Coefficient maps, generic rank, and the verdict pipeline."""
 
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from compident.families import (
     reference_models,
 )
 from compident.identify import (
+    DEFAULT_SEED,
     IDENTIFIABLE,
     METHOD_COUNT,
     METHOD_CONVENTION,
@@ -24,7 +26,8 @@ from compident.identify import (
     UNIDENTIFIABLE,
     NoInputError,
     NotStronglyConnectedError,
-    _jacobian_mod_point,
+    _jacobian_at,
+    _rank_mod,
     classify_tree,
     coefficient_map,
     count_criterion,
@@ -34,10 +37,11 @@ from compident.identify import (
     isc_sufficiency,
     verdict_to_dict,
 )
-from compident.model import distance
+from compident.model import distance, model_to_dict
 from compident.poly import PRIMES, FieldPoint, Poly, eval_mod
 
-from conftest import mk, rational_generic_rank
+from conftest import (mk, rational_generic_rank, symbolic_jacobian_mod_point,
+                      symbolic_labels)
 
 REF = reference_models()
 FIG1 = REF["k3_leak"]
@@ -80,7 +84,7 @@ def test_jacobian_fast_path_equals_formal_derivatives():
         cm = coefficient_map(m)
         prime = PRIMES[rng.randrange(len(PRIMES))]
         point = FieldPoint.random(cm.params, prime, rng)
-        fast = _jacobian_mod_point(cm, point)
+        fast = symbolic_jacobian_mod_point(cm.entries, cm.params, point)
         for i, entry in enumerate(cm.entries):
             for j, par in enumerate(cm.params):
                 assert fast[i][j] == eval_mod(entry.derivative(par), point)
@@ -89,13 +93,71 @@ def test_jacobian_fast_path_equals_formal_derivatives():
 def test_jacobian_fast_path_with_higher_exponents():
     x, y = (1, 2), (2, 1)
     f = Poly.var(x) * Poly.var(x) * Poly.var(y) + Poly.var(y).scale(3)
-    from compident.identify import CoefficientMap
-    cm = CoefficientMap((f,), ("f",), (x, y))
     rng = random.Random(0)
-    point = FieldPoint.random(cm.params, PRIMES[0], rng)
-    fast = _jacobian_mod_point(cm, point)
+    point = FieldPoint.random((x, y), PRIMES[0], rng)
+    fast = symbolic_jacobian_mod_point((f,), (x, y), point)
     assert fast[0][0] == eval_mod(f.derivative(x), point)
     assert fast[0][1] == eval_mod(f.derivative(y), point)
+
+
+# -- adjugate route against the symbolic oracle ---------------------------------
+
+def _assert_matches_oracle(m, seed=DEFAULT_SEED):
+    """Equal labels (hence m), equal Jacobians at each trial's point and
+    prime, and generic_rank's per-trial ranks equal to the oracle's."""
+    cm = coefficient_map(m)
+    assert cm.labels == symbolic_labels(m), model_to_dict(m)
+    oracle_ranks = []
+    for t, prime in enumerate(PRIMES):
+        point = FieldPoint.random(cm.params, prime, random.Random(seed + t))
+        oracle = symbolic_jacobian_mod_point(cm.entries, cm.params, point)
+        assert _jacobian_at(cm, point) == oracle, (model_to_dict(m), t)
+        oracle_ranks.append(_rank_mod(oracle, prime))
+    trials = generic_rank(cm, trials=len(PRIMES), seed=seed).trials
+    assert [t.rank for t in trials] == oracle_ranks[:len(trials)]
+
+
+def test_adjugate_route_matches_oracle_exhaustive():
+    # every digraph on n <= 3 compartments, strongly connected or not,
+    # with every single input/output placement and leak set of size <= 2
+    checked = 0
+    for n in (1, 2, 3):
+        pairs = list(itertools.permutations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [e for k, e in enumerate(pairs) if mask >> k & 1]
+            for inp, out in itertools.product(range(1, n + 1), repeat=2):
+                for size in (0, 1, 2):
+                    for leaks in itertools.combinations(range(1, n + 1), size):
+                        _assert_matches_oracle(mk(n, edges, [inp], [out], leaks))
+                        checked += 1
+    assert checked == 4098
+
+
+def test_adjugate_route_matches_oracle_random():
+    rng = random.Random(69)
+    for n in (4, 5, 6, 7):
+        for _ in range(3):
+            _assert_matches_oracle(random_strongly_connected_model(rng, n),
+                                   seed=rng.randrange(10 ** 6))
+    # several inputs and outputs, not necessarily strongly connected
+    for _ in range(20):
+        n = rng.randrange(2, 6)
+        edges = [e for e in itertools.permutations(range(1, n + 1), 2)
+                 if rng.random() < 0.4]
+        ins = rng.sample(range(1, n + 1), rng.randrange(1, 3))
+        outs = rng.sample(range(1, n + 1), rng.randrange(1, 3))
+        leaks = rng.sample(range(1, n + 1), rng.randrange(0, 3))
+        _assert_matches_oracle(mk(n, edges, ins, outs, leaks))
+
+
+def test_coefficient_map_unreachable_output():
+    # the input cannot reach the output: no right-side coefficients
+    for m in (mk(3, [(2, 1), (3, 2)], [1], [3], [1]),
+              mk(4, [(1, 2), (2, 1), (3, 4), (4, 3)], [1], [3], [2, 4]),
+              mk(3, [(1, 2), (2, 3)], [3], [1])):
+        cm = coefficient_map(m)
+        assert all(inp is None for (_out, inp, _k) in cm.coeffs)
+        _assert_matches_oracle(m)
 
 
 def test_generic_rank_triangle_frozen():
