@@ -16,6 +16,7 @@ import argparse
 import itertools
 import json
 import sys
+from typing import Mapping, Sequence
 
 from . import families
 from .determinant import IdentityCheckError, IoEquation, check_minor_identities, io_equation
@@ -73,39 +74,34 @@ def _deriv_name(base: str, k: int) -> str:
     return f"{base}^({k})"
 
 
-def render_equation(eq: IoEquation, n_compartments: int) -> str:
-    """The equation in readable form.
+def _terms(texts: Sequence[str], base: str, top: int) -> list[str]:
+    # The "(coefficient)*derivative" terms of orders top..0.
+    out = []
+    for k in range(top, -1, -1):
+        t = texts[k]
+        if t != "0":
+            name = _deriv_name(base, k)
+            out.append(name if t == "1" else f"({t})*{name}")
+    return out
 
-    The printed right-hand coefficients are the net ones: the detached
-    sign times the raw minor determinant, i.e. exactly the stored
-    nonnegative polynomials.
+
+def render_equation(out: int, lhs: Sequence[str],
+                    rhs: Mapping[int, Sequence[str]], n_compartments: int) -> str:
+    """The equation for one output in readable form.
+
+    Takes the coefficients as already rendered by :meth:`Poly.text`:
+    ``lhs`` holds the texts of c_0..c_n and ``rhs`` maps each input j to
+    the texts of d_0..d_(n-1).  A ``"0"`` term is left out and a ``"1"``
+    coefficient prints as the bare derivative.  The right-hand
+    coefficients are the net ones: the detached sign times the raw minor
+    determinant, i.e. exactly the stored nonnegative polynomials.
     """
-    y = "y" if n_compartments == 1 else f"y{eq.out}"
-    n = eq.n
-    lhs = []
-    for k in range(n, -1, -1):
-        c = eq.lhs[k]
-        if not c:
-            continue
-        name = _deriv_name(y, k)
-        if c == Poly.one():
-            lhs.append(name)
-        else:
-            lhs.append(f"({c.text()})*{name}")
-    rhs = []
-    for j in sorted(eq.rhs):
-        sign, ds = eq.rhs[j]
-        u = "u" if n_compartments == 1 else f"u{j}"
-        for k in range(n - 1, -1, -1):
-            d = ds[k]
-            if not d:
-                continue
-            name = _deriv_name(u, k)
-            if d == Poly.one():
-                rhs.append(name)
-            else:
-                rhs.append(f"({d.text()})*{name}")
-    return " + ".join(lhs) + " = " + (" + ".join(rhs) if rhs else "0")
+    n = len(lhs) - 1
+    left = _terms(lhs, "y" if n_compartments == 1 else f"y{out}", n)
+    right = []
+    for j in sorted(rhs):
+        right += _terms(rhs[j], "u" if n_compartments == 1 else f"u{j}", n - 1)
+    return " + ".join(left) + " = " + (" + ".join(right) if right else "0")
 
 
 def _forest_io_equation(m: Model, out: int) -> IoEquation:
@@ -138,26 +134,25 @@ def cmd_coeffs(args) -> int:
             eq = _forest_io_equation(m, out)
         else:
             eq = _forest_io_equation(m, out)
-            det_eq = io_equation(m, out)
-            if not _equations_match(eq, det_eq):
+            if not _equations_match(eq, io_equation(m, out)):
                 print("internal error: forest and determinant coefficients "
                       f"disagree for output {out}", file=sys.stderr)
                 return EXIT_INTERNAL
+        lhs = [c.text() for c in eq.lhs]
+        rhs = {j: [d.text() for d in eq.rhs[j][1]] for j in sorted(eq.rhs)}
+        equation = render_equation(out, lhs, rhs, m.n)
         lines.append(f"output {out}")
-        lines.append(f"  {render_equation(eq, m.n)}")
+        lines.append(f"  {equation}")
         for k in range(eq.n, -1, -1):
-            lines.append(f"  c{k} = {eq.lhs[k].text()}")
-        entry = {"output": out,
-                 "equation": render_equation(eq, m.n),
-                 "lhs": [c.text() for c in eq.lhs],
+            lines.append(f"  c{k} = {lhs[k]}")
+        entry = {"output": out, "equation": equation, "lhs": lhs,
                  "inputs": []}
-        for j in sorted(eq.rhs):
-            sign, ds = eq.rhs[j]
+        for j, ds in rhs.items():
+            sign = eq.rhs[j][0]
             lines.append(f"  input {j}: sign {'+1' if sign > 0 else '-1'}")
             for k in range(eq.n - 1, -1, -1):
-                lines.append(f"  d{k} = {ds[k].text()}")
-            entry["inputs"].append({"input": j, "sign": sign,
-                                    "d": [d.text() for d in ds]})
+                lines.append(f"  d{k} = {ds[k]}")
+            entry["inputs"].append({"input": j, "sign": sign, "d": ds})
         outputs.append(entry)
     _emit({"method": args.method, "compartments": m.n,
            "params": m.param_count(), "outputs": outputs},
@@ -322,20 +317,27 @@ _SELFTEST_RANDOM_MODELS = 20
 _SELFTEST_RELATION_MODELS = 6
 
 
-def _check_io_equivalence(m: Model, failures: list):
+def _check_io_equivalence(m: Model, failures: list) -> dict[int, IoEquation]:
+    """Compare the forest and determinant equations of every output.
+
+    Returns the forest equations by output, for the checks that follow.
+    """
+    forest_eqs = {}
     for out in sorted(m.outputs):
-        forest_eq = _forest_io_equation(m, out)
+        forest_eq = forest_eqs[out] = _forest_io_equation(m, out)
         det_eq = io_equation(m, out)
         if not _equations_match(forest_eq, det_eq):
             failures.append(f"io mismatch: {model_to_dict(m)} output {out}")
+    return forest_eqs
 
 
-def _check_counts(m: Model, failures: list):
+def _check_counts(m: Model, forest_eqs: dict[int, IoEquation], failures: list):
     lhs_n, rhs_n = nonconstant_counts(m)
-    cs = lhs_coefficients(m)
     (out,) = m.outputs
     (inp,) = m.inputs
-    _sign, ds = rhs_coefficients(m, out, inp)
+    eq = forest_eqs[out]
+    cs = eq.lhs[:-1]
+    _sign, ds = eq.rhs[inp]
     got_lhs = sum(not c.is_constant() for c in cs)
     got_rhs = sum(not d.is_constant() for d in ds)
     if (got_lhs, got_rhs) != (lhs_n, rhs_n):
@@ -386,8 +388,8 @@ def run_selftest(seed: int, trials: int) -> dict:
     for _ in range(_SELFTEST_RANDOM_MODELS):
         n = rng.randrange(2, 6)
         m = families.random_strongly_connected_model(rng, n)
-        _check_io_equivalence(m, failures)
-        _check_counts(m, failures)
+        forest_eqs = _check_io_equivalence(m, failures)
+        _check_counts(m, forest_eqs, failures)
         _check_flip_equality(m, failures)
 
     relation_checks = 0

@@ -16,8 +16,8 @@ identities that relate a model to its leaf-edge extension.
 
 Determinants use Laplace expansion memoized over column subsets, which is
 division-free and costs O(n * 2^n) polynomial multiplications -- the right
-trade-off at this package's scale.  A fraction-free (Bareiss) elimination
-is kept alongside purely as an internal cross-check.
+trade-off at this package's scale.  The test suite checks it against a
+fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Mapping, Tuple
 
 from .graphs import SymMatrix, compartmental_matrix, star_matrix
 from .model import Model, is_strongly_connected
-from .poly import LambdaPoly, Poly, lambda_exact_div
+from .poly import LambdaPoly, Poly
 
 
 def _lambda_shifted(M: SymMatrix) -> list[list[LambdaPoly]]:
@@ -73,31 +73,6 @@ def _det_laplace(rows: list[list[LambdaPoly]]) -> LambdaPoly:
         return acc
 
     return go(tuple(range(n)))
-
-
-def _det_bareiss(rows: list[list[LambdaPoly]]) -> LambdaPoly:
-    """Fraction-free elimination; every division is exact by construction."""
-    n = len(rows)
-    if n == 0:
-        return _ONE
-    M = [list(r) for r in rows]
-    sign = 1
-    prev = _ONE
-    for k in range(n - 1):
-        if not M[k][k]:
-            pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if pivot is None:
-                return LambdaPoly.zero()
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = lambda_exact_div(num, prev)
-            M[i][k] = LambdaPoly.zero()
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 def _delete(rows: list[list[LambdaPoly]], drop_rows: frozenset[int],

@@ -61,22 +61,16 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    merged = a + b
+    # A Laplace term takes one entry per column, and the parameters of
+    # column i are all a_*i, so the monomials multiplied there share no
+    # parameter: their product is the two factor lists merged in order.
+    if len(dict(merged)) == len(merged):
+        return tuple(sorted(merged))
     exps: dict[Param, int] = dict(a)
     for p, e in b:
         exps[p] = exps.get(p, 0) + e
     return tuple(sorted(exps.items()))
-
-
-def _mono_sort_key(mono: Monomial):
-    # Graded order: total degree first, then the flattened parameter list
-    # (a parameter with exponent e is repeated e times) compared
-    # lexicographically.  Used for canonical rendering and leading terms.
-    flat: list[Param] = []
-    deg = 0
-    for p, e in mono:
-        deg += e
-        flat.extend([p] * e)
-    return (-deg, tuple(flat))
 
 
 class Poly:
@@ -234,23 +228,44 @@ class Poly:
         return total
 
     # -- canonical text --------------------------------------------------
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
-
     def text(self) -> str:
         """Canonical rendering: terms by (degree desc, lexicographic params).
 
         Example: ``a02*a13*a21 + a02*a21*a23 + a02*a23*a31``.  Bit-exact
-        output, suitable for golden tests.
+        output, suitable for golden tests.  The parameter list compared is
+        the flattened one (a parameter with exponent e repeated e times).
+        The result is ``"0"`` exactly for the zero polynomial and ``"1"``
+        exactly for the one polynomial.
         """
         if not self.terms:
             return "0"
-        parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
+        names: dict[Param, str] = {}
+        keyed = []
+        for mono, coeff in self.terms.items():
+            # Sort key: -degree, then the indices of the flattened
+            # parameter list.  Within one degree these lists have equal
+            # length, so comparing the ints orders them as the pairs.
+            deg = 0
+            key = [0]
             factors = []
             for p, e in mono:
-                factors.append(param_name(p) if e == 1 else f"{param_name(p)}^{e}")
-            body = "*".join(factors)
+                name = names.get(p)
+                if name is None:
+                    name = names[p] = param_name(p)
+                deg += e
+                if e == 1:
+                    key += p
+                    factors.append(name)
+                else:
+                    key += p * e
+                    factors.append(f"{name}^{e}")
+            key[0] = -deg
+            keyed.append((tuple(key), "*".join(factors), coeff))
+        # Distinct monomials have distinct keys, so the sort never
+        # compares past them.
+        keyed.sort()
+        parts: list[str] = []
+        for _key, body, coeff in keyed:
             mag = abs(coeff)
             if not body:
                 tok = str(mag)
@@ -389,68 +404,3 @@ class LambdaPoly:
     def __repr__(self) -> str:
         return f"LambdaPoly({self.text()})"
 
-
-# ---------------------------------------------------------------------
-# Exact division helpers.  Only used by the fraction-free determinant
-# cross-check; raises if the division is not exact (which would signal a
-# bug, never expected in that algorithm).
-
-
-class InexactDivision(ArithmeticError):
-    pass
-
-
-def _leading(poly: Poly) -> tuple[Monomial, int]:
-    mono = min(poly.terms, key=_mono_sort_key)
-    return mono, poly.terms[mono]
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    exps = dict(a)
-    for p, e in b:
-        have = exps.get(p, 0)
-        if have < e:
-            raise InexactDivision("monomial does not divide")
-        if have == e:
-            del exps[p]
-        else:
-            exps[p] = have - e
-    return tuple(sorted(exps.items()))
-
-
-def poly_exact_div(num: Poly, den: Poly) -> Poly:
-    """Exact quotient num / den in the polynomial ring.
-
-    Works by repeatedly cancelling leading terms under the graded order;
-    raises :class:`InexactDivision` if den does not divide num.
-    """
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo: dict[Monomial, int] = {}
-    rem = num
-    dm, dc = _leading(den)
-    while rem:
-        rm, rc = _leading(rem)
-        if rc % dc != 0:
-            raise InexactDivision("coefficient does not divide")
-        qm = _mono_div(rm, dm)
-        qc = rc // dc
-        quo[qm] = quo.get(qm, 0) + qc
-        rem = rem - den * Poly({qm: qc})
-    return Poly(quo)
-
-
-def lambda_exact_div(num: LambdaPoly, den: LambdaPoly) -> LambdaPoly:
-    """Exact quotient in lambda: classic long division, exact at each step."""
-    if not den:
-        raise ZeroDivisionError("division by zero lambda-polynomial")
-    quo = [Poly.zero()] * max(num.degree() - den.degree() + 1, 0)
-    rem = num
-    while rem and rem.degree() >= den.degree():
-        q = poly_exact_div(rem.leading(), den.leading())
-        k = rem.degree() - den.degree()
-        quo[k] = quo[k] + q
-        rem = rem - den.scale(q).shift(k)
-    if rem:
-        raise InexactDivision("lambda-polynomial division left a remainder")
-    return LambdaPoly(quo)

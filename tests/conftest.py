@@ -2,8 +2,9 @@
 
 The oracles here deliberately re-derive results from first principles --
 subset enumeration for forests, boolean-matrix closure for connectivity,
-exact rational elimination for ranks -- so the package's algorithms are
-checked against genuinely different computations, not against themselves.
+exact rational elimination for ranks, fraction-free elimination for
+determinants -- so the package's algorithms are checked against genuinely
+different computations, not against themselves.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from compident.forests import lhs_coefficients, rhs_coefficients
 from compident.graphs import AuxGraph
 from compident.model import Model
-from compident.poly import Poly
+from compident.poly import LambdaPoly, Poly, param_name
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -209,6 +210,136 @@ def symbolic_labels(m: Model) -> tuple[str, ...]:
             labels += [f"y{out}.u{inp}.d{k}" for k in range(m.n - 1, -1, -1)
                        if not ds[k].is_constant()]
     return tuple(labels)
+
+
+# ---------------------------------------------------------------------
+# rendering oracle: sort by a key function, then name every factor
+
+
+def _mono_sort_key(mono):
+    # Graded order: total degree first, then the flattened parameter list
+    # (a parameter with exponent e is repeated e times) compared
+    # lexicographically.
+    flat = []
+    deg = 0
+    for p, e in mono:
+        deg += e
+        flat.extend([p] * e)
+    return (-deg, tuple(flat))
+
+
+def reference_text(poly: Poly) -> str:
+    """The canonical text of a polynomial, rendered term by term."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for mono, coeff in sorted(poly.terms.items(),
+                              key=lambda kv: _mono_sort_key(kv[0])):
+        factors = []
+        for p, e in mono:
+            factors.append(param_name(p) if e == 1 else f"{param_name(p)}^{e}")
+        body = "*".join(factors)
+        mag = abs(coeff)
+        if not body:
+            tok = str(mag)
+        elif mag == 1:
+            tok = body
+        else:
+            tok = f"{mag}*{body}"
+        parts.append(("- " if coeff < 0 else "+ ") + tok)
+    joined = " ".join(parts)
+    return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+
+
+# ---------------------------------------------------------------------
+# determinant oracle: fraction-free (Bareiss) elimination with exact
+# polynomial division, which raises if a division is not exact
+
+
+class InexactDivision(ArithmeticError):
+    pass
+
+
+def _leading(poly: Poly):
+    mono = min(poly.terms, key=_mono_sort_key)
+    return mono, poly.terms[mono]
+
+
+def _mono_div(a, b):
+    exps = dict(a)
+    for p, e in b:
+        have = exps.get(p, 0)
+        if have < e:
+            raise InexactDivision("monomial does not divide")
+        if have == e:
+            del exps[p]
+        else:
+            exps[p] = have - e
+    return tuple(sorted(exps.items()))
+
+
+def poly_exact_div(num: Poly, den: Poly) -> Poly:
+    """Exact quotient num / den in the polynomial ring.
+
+    Works by repeatedly cancelling leading terms under the graded order;
+    raises :class:`InexactDivision` if den does not divide num.
+    """
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    quo = {}
+    rem = num
+    dm, dc = _leading(den)
+    while rem:
+        rm, rc = _leading(rem)
+        if rc % dc != 0:
+            raise InexactDivision("coefficient does not divide")
+        qm = _mono_div(rm, dm)
+        qc = rc // dc
+        quo[qm] = quo.get(qm, 0) + qc
+        rem = rem - den * Poly({qm: qc})
+    return Poly(quo)
+
+
+def lambda_exact_div(num: LambdaPoly, den: LambdaPoly) -> LambdaPoly:
+    """Exact quotient in lambda: classic long division, exact at each step."""
+    if not den:
+        raise ZeroDivisionError("division by zero lambda-polynomial")
+    quo = [Poly.zero()] * max(num.degree() - den.degree() + 1, 0)
+    rem = num
+    while rem and rem.degree() >= den.degree():
+        q = poly_exact_div(rem.leading(), den.leading())
+        k = rem.degree() - den.degree()
+        quo[k] = quo[k] + q
+        rem = rem - den.scale(q).shift(k)
+    if rem:
+        raise InexactDivision("lambda-polynomial division left a remainder")
+    return LambdaPoly(quo)
+
+
+def det_bareiss(rows) -> LambdaPoly:
+    """Fraction-free elimination; every division is exact by construction."""
+    n = len(rows)
+    one = LambdaPoly([Poly.one()])
+    if n == 0:
+        return one
+    M = [list(r) for r in rows]
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if not M[k][k]:
+            pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if pivot is None:
+                return LambdaPoly.zero()
+            M[k], M[pivot] = M[pivot], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
+                M[i][j] = lambda_exact_div(num, prev)
+            M[i][k] = LambdaPoly.zero()
+        prev = M[k][k]
+    det = M[n - 1][n - 1]
+    return det if sign == 1 else -det
 
 
 # ---------------------------------------------------------------------

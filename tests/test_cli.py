@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,13 @@ from compident.cli import (
     EXIT_USAGE,
     main,
 )
+from compident.determinant import io_equation
+from compident.model import load_model
+
+from conftest import FIXTURES_DIR, reference_text
+
+with open(os.path.join(FIXTURES_DIR, "manifest.json")) as fh:
+    MANIFEST = json.load(fh)
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +146,39 @@ def test_coeffs_two_compartment_cross(capsys, fixtures_dir):
     assert "(a21)*u1" in doc["outputs"][0]["equation"]
 
 
+@pytest.mark.parametrize("name", sorted(MANIFEST))
+def test_coeffs_output_pins_every_coefficient(capsys, fixtures_dir, name):
+    path = fixture(fixtures_dir, name)
+    m = load_model(path)
+    code, text, _ = run_cli(capsys, "coeffs", "--method", "both", path)
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, "coeffs", "--method", "both", "--json", path)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    # Text mode: an "output" line, the equation, c_n..c_0, then for each
+    # input a "sign" line and d_(n-1)..d_0.
+    lines = text.splitlines()[1:]
+    assert len(doc["outputs"]) == len(m.outputs)
+    for entry in doc["outputs"]:
+        eq = io_equation(m, entry["output"])
+        lhs = [reference_text(c) for c in eq.lhs]
+        assert lines.pop(0) == f"output {entry['output']}"
+        assert lines.pop(0) == f"  {entry['equation']}"
+        for k in range(m.n, -1, -1):
+            assert lines.pop(0) == f"  c{k} = {lhs[k]}"
+        assert entry["lhs"] == lhs
+        assert [e["input"] for e in entry["inputs"]] == sorted(eq.rhs)
+        for e in entry["inputs"]:
+            sign, ds = eq.rhs[e["input"]]
+            d = [reference_text(c) for c in ds]
+            assert lines.pop(0) == (f"  input {e['input']}: sign "
+                                    f"{'+1' if sign > 0 else '-1'}")
+            for k in range(m.n - 1, -1, -1):
+                assert lines.pop(0) == f"  d{k} = {d[k]}"
+            assert e["d"] == d
+    assert lines == []
+
+
 def test_coeffs_no_inputs(capsys, tmp_path):
     path = tmp_path / "noin.json"
     path.write_text('{"compartments": 1, "edges": [], "in": [], "out": [1], '
@@ -211,6 +253,21 @@ def test_selftest_json_deterministic(capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["ok"] is True and doc["failures"] == []
+
+
+def test_python_m_runs_the_cli(capsys, fixtures_dir):
+    path = fixture(fixtures_dir, "k3_leak")
+    code, out, _ = run_cli(capsys, "analyze", path, "--json")
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "src"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "compident", "analyze", path,
+                           "--json"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == code == EXIT_OK
+    assert proc.stdout == out
 
 
 def test_fixture_files_match_builtin_corpus(fixtures_dir):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from compident.determinant import (
-    _det_bareiss,
     _det_laplace,
     _lambda_shifted,
     char_lambda_poly,
@@ -20,7 +19,7 @@ from compident.forests import lhs_coefficients, rhs_coefficients
 from compident.graphs import SymMatrix, compartmental_matrix
 from compident.poly import LambdaPoly, Poly
 
-from conftest import mk
+from conftest import det_bareiss, mk
 
 REF = reference_models()
 FIG1 = REF["k3_leak"]
@@ -85,7 +84,7 @@ def test_laplace_equals_bareiss_on_models():
     for _ in range(12):
         m = random_strongly_connected_model(rng, rng.randrange(2, 6))
         rows = _lambda_shifted(compartmental_matrix(m))
-        assert _det_laplace(rows) == _det_bareiss(rows)
+        assert _det_laplace(rows) == det_bareiss(rows)
 
 
 def test_bareiss_zero_pivot_paths():
@@ -95,13 +94,13 @@ def test_bareiss_zero_pivot_paths():
     b = LambdaPoly.from_poly(Poly.var((2, 1)))
     lam = LambdaPoly.lam()
     swap = [[zero, a], [b, zero]]
-    assert _det_bareiss(swap) == _det_laplace(swap)
+    assert det_bareiss(swap) == _det_laplace(swap)
     zero_col = [[zero, a], [zero, b]]
-    assert not _det_bareiss(zero_col)
+    assert not det_bareiss(zero_col)
     tricky = [[zero, a, one], [b, zero, lam], [one, lam, zero]]
-    assert _det_bareiss(tricky) == _det_laplace(tricky)
+    assert det_bareiss(tricky) == _det_laplace(tricky)
     singular = [[a, b, one], [a, b, one], [lam, one, a]]
-    assert not _det_bareiss(singular) and not _det_laplace(singular)
+    assert not det_bareiss(singular) and not _det_laplace(singular)
 
 
 def test_laplace_equals_bareiss_on_random_poly_matrices():
@@ -120,7 +119,7 @@ def test_laplace_equals_bareiss_on_random_poly_matrices():
                 row.append(LambdaPoly([p, Poly.one()]) if i == j
                            else LambdaPoly.from_poly(p))
             rows.append(row)
-        assert _det_laplace(rows) == _det_bareiss(rows)
+        assert _det_laplace(rows) == det_bareiss(rows)
 
 
 # -- full equations ------------------------------------------------------------

@@ -4,17 +4,19 @@ import random
 
 import pytest
 
+from compident.determinant import io_equation
+from compident.families import reference_models
 from compident.poly import (
     PRIMES,
     FieldPoint,
-    InexactDivision,
     LambdaPoly,
     Poly,
     eval_mod,
-    lambda_exact_div,
     partial_derivative,
-    poly_exact_div,
 )
+
+from conftest import InexactDivision, lambda_exact_div, poly_exact_div, \
+    reference_text
 
 A02, A12, A13, A21, A23, A31, A32 = \
     (0, 2), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)
@@ -165,6 +167,36 @@ def test_text_coefficients_and_signs():
     assert (-Poly.var(A12)).text() == "-a12"
 
 
+def test_text_matches_reference_renderer_random():
+    rng = random.Random(8)
+    params = [A02, A12, A13, A21, (10, 2), (0, 11), (2, 10), (12, 13)]
+    polys = [Poly.zero()]
+    for _ in range(60):
+        p = random_poly(rng, 12, rng.sample(params, 5), max_exp=3)
+        polys.append(p + Poly.const(rng.randrange(-5, 6)))
+    for p in polys:
+        assert p.text() == reference_text(p)
+
+
+def test_text_matches_reference_renderer_on_fixture_equations():
+    for m in reference_models().values():
+        for out in sorted(m.outputs):
+            eq = io_equation(m, out)
+            coeffs = list(eq.lhs) + [d for _sign, ds in eq.rhs.values()
+                                     for d in ds]
+            for c in coeffs:
+                assert c.text() == reference_text(c)
+
+
+def test_mul_repeated_parameters():
+    a12, a13 = Poly.var(A12), Poly.var(A13)
+    square = a12 * a12
+    assert square.terms == {((A12, 2),): 1}
+    cube = square * a13 * a12
+    assert cube.terms == {((A12, 3), (A13, 1)): 1}
+    assert cube.text() == "a12^3*a13"
+
+
 # -- lambda polynomials ---------------------------------------------------
 
 def test_lambda_linear_product():
@@ -198,7 +230,7 @@ def test_lambda_shift_and_coeff():
     assert not la.shift(2).coeff(0)
 
 
-# -- exact division (support for the fraction-free determinant) ----------
+# -- exact division (the fraction-free determinant oracle) ---------------
 
 def test_poly_exact_division_roundtrip():
     rng = random.Random(6)
