@@ -37,7 +37,6 @@ from .forests import (
     nonconstant_counts,
     productivity,
     rhs_coefficients,
-    rhs_coefficients_multigraph,
 )
 from .graphs import (
     AuxGraph,
@@ -47,7 +46,6 @@ from .graphs import (
     leak_augmented,
     star_matrix,
     strip_outgoing,
-    to_dot,
 )
 from .identify import (
     DEFAULT_SEED,
@@ -64,6 +62,7 @@ from .identify import (
     decide_identifiability,
     expected_dimension,
     generic_rank,
+    generic_ranks,
     isc_sufficiency,
     verdict_to_dict,
 )
@@ -87,8 +86,6 @@ from .poly import (
     LambdaPoly,
     Param,
     Poly,
-    eval_mod,
-    partial_derivative,
 )
 from .transforms import (
     Transform,

@@ -26,12 +26,14 @@ from .graphs import flip_into_leak, strip_outgoing
 from .identify import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    IDENTIFIABLE,
     NoInputError,
     NotStronglyConnectedError,
+    classify_tree,
     coefficient_map,
     decide_identifiability,
     expected_dimension,
-    generic_rank,
+    generic_ranks,
     verdict_to_dict,
 )
 from .model import Model, ModelValidationError, distance, load_model, model_to_dict
@@ -241,35 +243,42 @@ def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
     Iterates every labeled tree on up to max_n vertices, every input and
     output placement and every leak set of size at most 2, and compares
     the rank verdict against the tree classifier (identifiable iff
-    distance <= 1 and leaks <= 1).  Returns a summary dict with any
-    disagreements (expected none).
+    distance <= 1 and leaks <= 1).  The n^2 placements of one tree and
+    leak set are ranked together by :func:`generic_ranks`, which
+    evaluates each trial's point and adjugate once for all of them.
+    Returns a summary dict with any disagreements (expected none), listed
+    by tree, input, output and leak set.
     """
-    from .identify import IDENTIFIABLE, classify_tree
-
     per_n = {}
     disagreements = []
     total = identifiable = 0
     for n in range(1, max_n + 1):
         count = 0
+        places = [(inp, out) for inp in range(1, n + 1)
+                  for out in range(1, n + 1)]
+        leak_sets = list(_leak_sets(n, 2))
         for und in families.labeled_trees(n):
-            for inp in range(1, n + 1):
-                for out in range(1, n + 1):
-                    for leaks in _leak_sets(n, 2):
-                        m = families.bidirectional_tree_model(
-                            n, und, [inp], [out], leaks)
-                        cm = coefficient_map(m)
-                        rank = generic_rank(cm, trials=trials, seed=seed).rank
-                        by_rank = rank == cm.p
-                        by_tree = classify_tree(m).status == IDENTIFIABLE
-                        if by_rank != by_tree:
-                            disagreements.append({
-                                "n": n, "edges": sorted(und), "in": inp,
-                                "out": out, "leak": sorted(leaks),
-                                "rank": rank, "params": cm.p,
-                            })
-                        count += 1
-                        total += 1
-                        identifiable += by_rank
+            ranked = {}
+            for leaks in leak_sets:
+                cms = [coefficient_map(families.bidirectional_tree_model(
+                    n, und, [inp], [out], leaks)) for (inp, out) in places]
+                reports = generic_ranks(cms, trials=trials, seed=seed)
+                for place, cm, report in zip(places, cms, reports):
+                    ranked[place, leaks] = (cm, report.rank)
+            for (inp, out) in places:
+                for leaks in leak_sets:
+                    cm, rank = ranked[(inp, out), leaks]
+                    by_rank = rank == cm.p
+                    by_tree = classify_tree(cm.model).status == IDENTIFIABLE
+                    if by_rank != by_tree:
+                        disagreements.append({
+                            "n": n, "edges": sorted(und), "in": inp,
+                            "out": out, "leak": sorted(leaks),
+                            "rank": rank, "params": cm.p,
+                        })
+                    count += 1
+                    total += 1
+                    identifiable += by_rank
         per_n[str(n)] = count
     return {"max_n": max_n, "trials": trials, "seed": seed, "models": total,
             "identifiable": identifiable,

@@ -53,26 +53,34 @@ def _det_laplace(rows: list[list[LambdaPoly]]) -> LambdaPoly:
     n = len(rows)
     if n == 0:
         return _ONE
-    memo: dict[tuple[int, ...], LambdaPoly] = {}
+    return _laplace(rows, tuple(range(n)), {})
 
-    def go(cols: tuple[int, ...]) -> LambdaPoly:
-        if len(cols) == 1:
-            return rows[n - 1][cols[0]]
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        r = n - len(cols)
-        acc = LambdaPoly.zero()
-        for idx, c in enumerate(cols):
-            entry = rows[r][c]
-            if not entry:
-                continue
-            term = entry * go(cols[:idx] + cols[idx + 1:])
-            acc = acc + term if idx % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
 
-    return go(tuple(range(n)))
+def _laplace(rows: list[list[LambdaPoly]], cols: tuple[int, ...],
+             memo: dict[tuple[int, ...], LambdaPoly]) -> LambdaPoly:
+    """The minor on the last len(cols) rows and the given columns,
+    expanded along its first row and memoized by column set.
+
+    A module-level function and not a closure: a recursive closure
+    refers to itself through its own cell, so its memo would live until
+    the cyclic garbage collector ran.
+    """
+    n = len(rows)
+    if len(cols) == 1:
+        return rows[n - 1][cols[0]]
+    cached = memo.get(cols)
+    if cached is not None:
+        return cached
+    r = n - len(cols)
+    acc = LambdaPoly.zero()
+    for idx, c in enumerate(cols):
+        entry = rows[r][c]
+        if not entry:
+            continue
+        term = entry * _laplace(rows, cols[:idx] + cols[idx + 1:], memo)
+        acc = acc + term if idx % 2 == 0 else acc - term
+    memo[cols] = acc
+    return acc
 
 
 def _delete(rows: list[list[LambdaPoly]], drop_rows: frozenset[int],

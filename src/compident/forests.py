@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from .graphs import AuxGraph, flip_into_leak, leak_augmented, strip_outgoing
+from .graphs import AuxGraph, leak_augmented, strip_outgoing
 from .model import Model, distance, is_strongly_connected
 from .poly import Poly
 
@@ -200,21 +200,6 @@ def rhs_coefficients(m: Model, out: int, inp: int) -> tuple[int, list[Poly]]:
     ds = [sums[n - k - 1] for k in range(n)]
     sign = -1 if (out + inp) % 2 else 1
     return sign, ds
-
-
-def rhs_coefficients_multigraph(m: Model, i: int) -> list[Poly]:
-    """Alternative input-side route via the flipped multigraph.
-
-    Only defined when input and output coincide in compartment i; the
-    result ``[d_0, ..., d_{n-2}]`` must agree with
-    :func:`rhs_coefficients` (the flip is a productivity-preserving
-    bijection on forests).
-    """
-    if m.inputs != {i} or m.outputs != {i}:
-        raise ValueError("multigraph route requires inputs == outputs == {i}")
-    sums = forest_sums_by_size(flip_into_leak(m, i))
-    n = m.n
-    return [sums[n - k - 1] for k in range(n - 1)]
 
 
 def nonconstant_counts(m: Model) -> tuple[int, int]:

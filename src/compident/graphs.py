@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .model import Model
-from .poly import Param, Poly, param_name
+from .poly import Param, Poly
 
 # A labelled directed edge (source, target, label).  Edge identity within
 # an AuxGraph is positional, which keeps parallel edges distinct.
@@ -92,17 +92,6 @@ def flip_into_leak(m: Model, i: int) -> AuxGraph:
             edges.append((src, dst, lab))
     nodes = tuple(v for v in stripped.nodes if v != i)
     return AuxGraph(nodes, tuple(edges), allows_multi_edges=True)
-
-
-def to_dot(g: AuxGraph, name: str = "aux") -> str:
-    """Dot-format rendering for documentation; labels are parameter names."""
-    lines = [f"digraph {name} {{"]
-    for v in g.nodes:
-        lines.append(f"  n{v} [label=\"{v}\"];")
-    for (src, dst, lab) in g.edges:
-        lines.append(f"  n{src} -> n{dst} [label=\"{param_name(lab)}\"];")
-    lines.append("}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------

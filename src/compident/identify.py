@@ -14,7 +14,12 @@ the adjugate and the characteristic polynomial come from Faddeev-LeVerrier
 of A, so the partials of ``det`` are differences of adjugate entries, and
 those of the adjugate follow from the Jacobi identity by one exact
 division by the monic characteristic polynomial.  A trial costs
-O(n^4 + k n^2) for k parameters.  Which coefficients are non-constant is
+O(n^4 + k n^2) for k parameters.  The point, the adjugate at it and the
+left-side partials depend on the graph and the leaks alone, not on where
+inputs and outputs sit, so :func:`generic_ranks` evaluates them once per
+trial for a group of maps that differ only in placement, reduces the
+shared left-side rows to echelon form once, and has each map extend that
+basis with its own right-side rows.  Which coefficients are non-constant is
 read off the graph (forest sizes, terminal components and the
 input-to-output distance) in O(n + e).  The forest polynomials themselves
 (:attr:`CoefficientMap.entries`) are only expanded on request.
@@ -277,25 +282,30 @@ def _adjugate(a_rows: list[list[tuple[int, int]]],
     return B, c
 
 
-def _jacobian_at(cm: CoefficientMap, point: FieldPoint) -> list[list[int]]:
-    """The Jacobian of the coefficient map at the point, mod its prime.
+def _diff(row: Sequence, j: int, i: Optional[int], p: int) -> Sequence:
+    """row[j] - row[i], or row[j] alone for a leak."""
+    if i is None:
+        return row[j]
+    return tuple((a - b) % p for a, b in zip(row[j], row[i]))
 
-    With M = lambda*I - A, c = det M and d = adj(M)[out][in].  Parameter
-    ``a_ij`` sits at M[i][j] as -a_ij and at M[j][j] as +a_ij (``a_0j``
-    only at M[j][j]), so every coefficient is affine in it.  Then
-    ``dc/da_ij = adj_jj - adj_ji``, and by the Jacobi identity
-    ``d adj_ab / d M_rc = (adj_cr adj_ab - adj_ar adj_cb) / c`` ::
 
-        dd/da_ij = ((adj_jj - adj_ji) d - adj_j,in (adj_out,j - adj_out,i)) / c
+def _evaluate(n: int, params: Sequence[Param], point: FieldPoint) -> tuple:
+    """What one point gives every map on its graph and leaks, mod its
+    prime: ``(adj, c, cols, lhs)``.
 
-    where the division by the monic c is exact.  The numbers equal the
-    partial derivatives of the forest polynomials at the point.
+    ``adj[a][b]`` is entry (a, b) of adj(lambda*I - A), 0-based, by
+    ascending powers of lambda, and ``c`` the characteristic polynomial.
+    ``cols`` gives per parameter ``a_ij`` the 0-based ``(i, j)``, with i
+    None for a leak ``a_0j``, and ``lhs`` its partials of ``c``.  With
+    M = lambda*I - A, ``a_ij`` sits at M[i][j] as -a_ij and at M[j][j] as
+    +a_ij (``a_0j`` only at M[j][j]), so ``c = det M`` is affine in it and
+    ``dc/da_ij = adj_jj - adj_ji``.  None of this depends on where the
+    inputs and outputs sit.
     """
-    model, p, values = cm.model, point.prime, point.values
-    n = model.n
+    p, values = point.prime, point.values
     a_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     diag = [0] * n
-    for (i, j) in cm.params:
+    for (i, j) in params:
         v = values[(i, j)]
         diag[j - 1] -= v
         if i:
@@ -303,21 +313,28 @@ def _jacobian_at(cm: CoefficientMap, point: FieldPoint) -> list[list[int]]:
     for j in range(n):
         a_rows[j].append((j, diag[j] % p))
     B, c = _adjugate(a_rows, p)
-    # adj[a][b]: entry (a, b) of adj(M), 0-based, by ascending powers; per
-    # parameter a_ij the 0-based (i, j), with i None for a leak a_0j
     adj = [list(zip(*(Bk[a] for Bk in B))) for a in range(n)]
-    cols = [(i - 1 if i else None, j - 1) for (i, j) in cm.params]
+    cols = [(i - 1 if i else None, j - 1) for (i, j) in params]
+    lhs = [_diff(adj[j], j, i, p) for (i, j) in cols]
+    return adj, c, cols, lhs
 
-    def diff(row: list, j: int, i: Optional[int]) -> tuple:
-        """row[j] - row[i], or row[j] alone for a leak."""
-        if i is None:
-            return row[j]
-        return tuple((a - b) % p for a, b in zip(row[j], row[i]))
 
-    lhs = [diff(adj[j], j, i) for (i, j) in cols]
+def _rows(ev: tuple, coeffs: Sequence[tuple[int, Optional[int], int]],
+          p: int) -> list[list[int]]:
+    """The Jacobian rows of the coefficients at a point evaluated mod p.
+
+    With d = adj(M)[out][in], the Jacobi identity
+    ``d adj_ab / d M_rc = (adj_cr adj_ab - adj_ar adj_cb) / c`` gives ::
+
+        dd/da_ij = ((adj_jj - adj_ji) d - adj_j,in (adj_out,j - adj_out,i)) / c
+
+    where the division by the monic c is exact.  The numbers equal the
+    partial derivatives of the forest polynomials at the point.
+    """
+    adj, c, cols, lhs = ev
     rhs: dict[tuple[int, int], list[list[int]]] = {}
     rows = []
-    for (out, inp, k) in cm.coeffs:
+    for (out, inp, k) in coeffs:
         if inp is None:
             rows.append([du[k] for du in lhs])
             continue
@@ -325,10 +342,16 @@ def _jacobian_at(cm: CoefficientMap, point: FieldPoint) -> list[list[int]]:
             row_o = adj[out - 1]
             rhs[(out, inp)] = [
                 _exact_quotient(du, row_o[inp - 1], adj[j][inp - 1],
-                                diff(row_o, j, i), c, p)
+                                _diff(row_o, j, i, p), c, p)
                 for du, (i, j) in zip(lhs, cols)]
         rows.append([dd[k] for dd in rhs[(out, inp)]])
     return rows
+
+
+def _jacobian_at(cm: CoefficientMap, point: FieldPoint) -> list[list[int]]:
+    """The Jacobian of the coefficient map at the point, mod its prime."""
+    return _rows(_evaluate(cm.model.n, cm.params, point), cm.coeffs,
+                 point.prime)
 
 
 def _exact_quotient(u: Sequence[int], d: Sequence[int], w: Sequence[int],
@@ -352,36 +375,28 @@ def _exact_quotient(u: Sequence[int], d: Sequence[int], w: Sequence[int],
     return q
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination rank over the prime field.
+def _echelon(basis: list[tuple[int, int, list[int]]], rows: list[list[int]],
+             p: int) -> list[tuple[int, int, list[int]]]:
+    """An echelon basis over the prime field, extended by rows.
 
-    Rows are scaled by the pivot instead of divided by it, which leaves
-    the rank unchanged and needs no modular inverse.
+    Entries lie in [0, p).  The basis lists ``(pivot column, pivot value,
+    row)`` in insertion order; each row is zero at the pivot columns of
+    the rows before it, so one pass reduces a new row at every pivot.  A
+    row is scaled by the pivot instead of divided by it, so no modular
+    inverse is needed.  The rank of the rows so far is the basis length.
+    The given basis is left as it was.
     """
-    if not rows:
-        return 0
-    M = [row[:] for row in rows]
-    n_rows, n_cols = len(M), len(M[0])
-    rank = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(rank, n_rows):
-            if M[i][c] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        M[rank], M[pivot] = M[pivot], M[rank]
-        row = M[rank]
-        pv = row[c] % p
-        for i in range(rank + 1, n_rows):
-            f = M[i][c] % p
+    basis = list(basis)
+    for r in rows:
+        for c, pv, b in basis:
+            f = r[c]
             if f:
-                M[i] = [(pv * a - f * b) % p for a, b in zip(M[i], row)]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+                r = [(pv * x - f * y) % p for x, y in zip(r, b)]
+        for c, x in enumerate(r):
+            if x:
+                basis.append((c, x, r))
+                break
+    return basis
 
 
 def generic_rank(cm: CoefficientMap, trials: int = DEFAULT_TRIALS,
@@ -397,23 +412,50 @@ def generic_rank(cm: CoefficientMap, trials: int = DEFAULT_TRIALS,
     so the reported rank is unchanged and stays monotone in the trial
     budget.
     """
+    return generic_ranks([cm], trials, seed)[0]
+
+
+def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
+                  seed: int = DEFAULT_SEED) -> list[RankReport]:
+    """:func:`generic_rank` of each map, evaluating each point once.
+
+    The maps must share the compartment count, edges and leaks; they may
+    place inputs and outputs anywhere.  A trial's point, the adjugate at
+    it and the left-side partials then serve every map, and only the
+    right-side partials and the rank are per map.  Each map keeps its own
+    early stop, so every report equals that of ``generic_rank`` alone.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cap = min(cm.p, cm.m)
-    results: list[TrialResult] = []
-    best = 0
+    if not cms:
+        return []
+    model = cms[0].model
+    if any((cm.model.n, cm.model.edges, cm.model.leaks)
+           != (model.n, model.edges, model.leaks) for cm in cms):
+        raise ValueError("maps must share compartments, edges and leaks")
+    params = cms[0].params
+    caps = [min(cm.p, cm.m) for cm in cms]
+    # A model has at least one output, so every map's left side is the
+    # same: its rows are reduced once per trial and each map extends them.
+    lhs_coeffs = [co for co in cms[0].coeffs if co[1] is None]
+    rhs = [[co for co in cm.coeffs if co[1] is not None] for cm in cms]
+    logs: list[list[TrialResult]] = [[] for _ in cms]
+    best = [0] * len(cms)
     for t in range(trials):
+        live = [k for k in range(len(cms)) if not logs[k] or best[k] < caps[k]]
+        if not live:
+            break
         prime = PRIMES[t % len(PRIMES)]
         trial_seed = seed + t
-        rng = random.Random(trial_seed)
-        point = FieldPoint.random(cm.params, prime, rng)
-        r = _rank_mod(_jacobian_at(cm, point), prime)
-        results.append(TrialResult(prime, trial_seed, r))
-        if r > best:
-            best = r
-        if best == cap:
-            break
-    return RankReport(best, tuple(results), cm.p, cm.m)
+        point = FieldPoint.random(params, prime, random.Random(trial_seed))
+        ev = _evaluate(model.n, params, point)
+        lhs = _echelon([], _rows(ev, lhs_coeffs, prime), prime)
+        for k in live:
+            r = len(_echelon(lhs, _rows(ev, rhs[k], prime), prime))
+            logs[k].append(TrialResult(prime, trial_seed, r))
+            best[k] = max(best[k], r)
+    return [RankReport(best[k], tuple(logs[k]), cm.p, cm.m)
+            for k, cm in enumerate(cms)]
 
 
 def count_criterion(m: Model) -> Optional[dict]:

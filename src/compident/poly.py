@@ -281,11 +281,6 @@ class Poly:
         return f"Poly({self.text()})"
 
 
-def partial_derivative(poly: Poly, param: Param) -> Poly:
-    """Module-level alias of :meth:`Poly.derivative`."""
-    return poly.derivative(param)
-
-
 @dataclass(frozen=True)
 class FieldPoint:
     """An assignment of every parameter to a nonzero residue mod a prime."""
@@ -301,11 +296,6 @@ class FieldPoint:
     @staticmethod
     def random(params: Sequence[Param], prime: int, rng: random.Random) -> "FieldPoint":
         return FieldPoint(prime, {p: rng.randrange(1, prime) for p in params})
-
-
-def eval_mod(poly: Poly, point: FieldPoint) -> int:
-    """Module-level alias of :meth:`Poly.eval_mod`."""
-    return poly.eval_mod(point)
 
 
 class LambdaPoly:

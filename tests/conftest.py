@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from compident.forests import lhs_coefficients, rhs_coefficients
-from compident.graphs import AuxGraph
+from compident.forests import forest_sums_by_size, lhs_coefficients, rhs_coefficients
+from compident.graphs import AuxGraph, flip_into_leak
+from compident.identify import RankReport, TrialResult, _jacobian_at
 from compident.model import Model
-from compident.poly import LambdaPoly, Poly, param_name
+from compident.poly import PRIMES, FieldPoint, LambdaPoly, Param, Poly, param_name
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -156,6 +158,56 @@ def rational_jacobian_rank(entries, params, point) -> int:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank over the prime field by column-pivoted Gaussian elimination.
+
+    Rows are scaled by the pivot instead of divided by it.  Eliminates
+    column by column over the whole matrix, unlike the package's
+    row-by-row echelon basis.
+    """
+    if not rows:
+        return 0
+    M = [row[:] for row in rows]
+    n_rows, n_cols = len(M), len(M[0])
+    rank = 0
+    for c in range(n_cols):
+        pivot = None
+        for i in range(rank, n_rows):
+            if M[i][c] % p:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        row = M[rank]
+        pv = row[c] % p
+        for i in range(rank + 1, n_rows):
+            f = M[i][c] % p
+            if f:
+                M[i] = [(pv * a - f * b) % p for a, b in zip(M[i], row)]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def reference_generic_rank(cm, trials: int, seed: int):
+    """The generic-rank trial loop of one map on its own: the Jacobian
+    built from scratch at each trial's point and ranked by :func:`rank_mod`,
+    stopping once the rank reaches min(p, m)."""
+    cap = min(cm.p, cm.m)
+    results, best = [], 0
+    for t in range(trials):
+        prime = PRIMES[t % len(PRIMES)]
+        point = FieldPoint.random(cm.params, prime, random.Random(seed + t))
+        r = rank_mod(_jacobian_at(cm, point), prime)
+        results.append(TrialResult(prime, seed + t, r))
+        best = max(best, r)
+        if best == cap:
+            break
+    return RankReport(best, tuple(results), cm.p, cm.m)
 
 
 def rational_generic_rank(entries, params, rng, attempts: int = 3) -> int:
@@ -340,6 +392,43 @@ def det_bareiss(rows) -> LambdaPoly:
         prev = M[k][k]
     det = M[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+# ---------------------------------------------------------------------
+# helpers that only tests use
+
+
+def rhs_coefficients_multigraph(m: Model, i: int) -> list[Poly]:
+    """Alternative input-side route via the flipped multigraph.
+
+    Only defined when input and output coincide in compartment i; the
+    result ``[d_0, ..., d_{n-2}]`` must agree with ``rhs_coefficients``
+    (the flip is a productivity-preserving bijection on forests).
+    """
+    if m.inputs != {i} or m.outputs != {i}:
+        raise ValueError("multigraph route requires inputs == outputs == {i}")
+    sums = forest_sums_by_size(flip_into_leak(m, i))
+    n = m.n
+    return [sums[n - k - 1] for k in range(n - 1)]
+
+
+def to_dot(g: AuxGraph, name: str = "aux") -> str:
+    """Dot-format rendering of an auxiliary graph; labels are parameter names."""
+    lines = [f"digraph {name} {{"]
+    for v in g.nodes:
+        lines.append(f"  n{v} [label=\"{v}\"];")
+    for (src, dst, lab) in g.edges:
+        lines.append(f"  n{src} -> n{dst} [label=\"{param_name(lab)}\"];")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def partial_derivative(poly: Poly, param: Param) -> Poly:
+    return poly.derivative(param)
+
+
+def eval_mod(poly: Poly, point: FieldPoint) -> int:
+    return poly.eval_mod(point)
 
 
 # ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -7,13 +8,18 @@ import sys
 
 import pytest
 
+from compident import cli, identify
 from compident.cli import (
     EXIT_INVALID_MODEL,
     EXIT_OK,
     EXIT_USAGE,
     main,
+    run_tree_sweep,
 )
 from compident.determinant import io_equation
+from compident.families import bidirectional_tree_model, labeled_trees
+from compident.identify import (IDENTIFIABLE, UNIDENTIFIABLE, Verdict,
+                                coefficient_map, generic_rank)
 from compident.model import load_model
 
 from conftest import FIXTURES_DIR, reference_text
@@ -228,6 +234,54 @@ def test_sweep_trees_small(capsys):
     doc = json.loads(out)
     assert doc["models"] == 2 + 16 + 189
     assert doc["disagreements"] == []
+
+
+def test_sweep_trees_disagreement_order(monkeypatch):
+    # every verdict inverted: all models disagree, listed in the order of
+    # the plain tree -> input -> output -> leak set loop
+    plain = run_tree_sweep(3, 3, 5)
+    expected = []
+    for n in (1, 2, 3):
+        for und in labeled_trees(n):
+            for inp in range(1, n + 1):
+                for out in range(1, n + 1):
+                    for size in range(min(2, n) + 1):
+                        for leaks in itertools.combinations(range(1, n + 1), size):
+                            m = bidirectional_tree_model(n, und, [inp], [out], leaks)
+                            cm = coefficient_map(m)
+                            expected.append({
+                                "n": n, "edges": sorted(und), "in": inp,
+                                "out": out, "leak": sorted(leaks),
+                                "rank": generic_rank(cm, 3, 5).rank,
+                                "params": cm.p})
+
+    def inverted(m):
+        v = identify.classify_tree(m)
+        flipped = IDENTIFIABLE if v.status == UNIDENTIFIABLE else UNIDENTIFIABLE
+        return Verdict(flipped, v.method, None, v.criteria)
+
+    monkeypatch.setattr(cli, "classify_tree", inverted)
+    swept = run_tree_sweep(3, 3, 5)
+    assert swept["disagreements"] == expected
+    assert {k: v for k, v in swept.items() if k != "disagreements"} == \
+        {k: v for k, v in plain.items() if k != "disagreements"}
+
+
+def test_sweep_trees_evaluates_one_adjugate_per_tree_and_leak_set(
+        monkeypatch, capsys):
+    # 203 (tree, leak set) groups for n <= 4, against 3,023 models; every
+    # tree map reaches min(p, m) at its first trial
+    calls = []
+    adjugate = identify._adjugate
+
+    def counted(*args):
+        calls.append(1)
+        return adjugate(*args)
+
+    monkeypatch.setattr(identify, "_adjugate", counted)
+    code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
+    assert code == EXIT_OK and json.loads(out)["models"] == 3023
+    assert len(calls) == 203
 
 
 def test_sweep_trees_rejects_huge_n(capsys):

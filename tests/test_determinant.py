@@ -1,5 +1,6 @@
 """Symbolic determinant route: golden equations, cross-checks, identities."""
 
+import gc
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from compident.determinant import (
     io_equation,
     minor_lambda_poly,
 )
-from compident.families import random_strongly_connected_model, reference_models
+from compident.families import (random_strongly_connected_edges,
+                                random_strongly_connected_model, reference_models)
 from compident.forests import lhs_coefficients, rhs_coefficients
 from compident.graphs import SymMatrix, compartmental_matrix
 from compident.poly import LambdaPoly, Poly
@@ -210,3 +212,18 @@ def test_minor_forest_signs_not_strongly_connected_still_holds():
     # the sign relation is a matrix identity; connectivity is irrelevant
     m = mk(3, [(1, 2), (2, 3)], [1], [3], [2])
     assert check_minor_forest_signs(m) == 9
+
+
+def test_char_poly_leaves_no_cyclic_garbage():
+    # the expansion's memo of minors is freed on return, not left in a
+    # reference cycle for the cyclic collector
+    edges = random_strongly_connected_edges(random.Random(9), 6, 0.6)
+    A = compartmental_matrix(mk(6, edges, [1], [1], [2]))
+    gc.collect()
+    gc.disable()
+    try:
+        char = char_lambda_poly(A)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert char.coeff(6) == Poly.one()

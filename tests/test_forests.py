@@ -21,13 +21,13 @@ from compident.forests import (
     nonconstant_counts,
     productivity,
     rhs_coefficients,
-    rhs_coefficients_multigraph,
 )
 from compident.graphs import AuxGraph, flip_into_leak, leak_augmented, strip_outgoing
 from compident.model import distance
 from compident.poly import Poly
 
-from conftest import brute_force_forests, mk, undirected_components
+from conftest import (brute_force_forests, mk, rhs_coefficients_multigraph,
+                      undirected_components)
 
 FIG1 = reference_models()["k3_leak"]
 

@@ -13,11 +13,10 @@ from compident.graphs import (
     leak_augmented,
     star_matrix,
     strip_outgoing,
-    to_dot,
 )
 from compident.poly import Poly
 
-from conftest import mk
+from conftest import mk, to_dot
 
 FIG1 = reference_models()["k3_leak"]
 

@@ -11,6 +11,7 @@ from compident.families import (
     catenary,
     labeled_trees,
     mammillary,
+    random_strongly_connected_edges,
     random_strongly_connected_model,
     reference_models,
 )
@@ -26,21 +27,23 @@ from compident.identify import (
     UNIDENTIFIABLE,
     NoInputError,
     NotStronglyConnectedError,
+    _echelon,
     _jacobian_at,
-    _rank_mod,
     classify_tree,
     coefficient_map,
     count_criterion,
     decide_identifiability,
     expected_dimension,
     generic_rank,
+    generic_ranks,
     isc_sufficiency,
     verdict_to_dict,
 )
-from compident.model import distance, model_to_dict
-from compident.poly import PRIMES, FieldPoint, Poly, eval_mod
+from compident.model import Model, distance, model_to_dict
+from compident.poly import PRIMES, FieldPoint, Poly
 
-from conftest import (mk, rational_generic_rank, symbolic_jacobian_mod_point,
+from conftest import (eval_mod, mk, rank_mod, rational_generic_rank,
+                      reference_generic_rank, symbolic_jacobian_mod_point,
                       symbolic_labels)
 
 REF = reference_models()
@@ -112,7 +115,7 @@ def _assert_matches_oracle(m, seed=DEFAULT_SEED):
         point = FieldPoint.random(cm.params, prime, random.Random(seed + t))
         oracle = symbolic_jacobian_mod_point(cm.entries, cm.params, point)
         assert _jacobian_at(cm, point) == oracle, (model_to_dict(m), t)
-        oracle_ranks.append(_rank_mod(oracle, prime))
+        oracle_ranks.append(rank_mod(oracle, prime))
     trials = generic_rank(cm, trials=len(PRIMES), seed=seed).trials
     assert [t.rank for t in trials] == oracle_ranks[:len(trials)]
 
@@ -196,6 +199,95 @@ def test_generic_rank_trial_metadata():
 def test_generic_rank_rejects_zero_trials():
     with pytest.raises(ValueError):
         generic_rank(coefficient_map(FIG1), trials=0)
+
+
+# -- ranking the maps of one graph and leak set together -----------------------
+
+def _assert_group_matches(cms):
+    """generic_ranks of the group equals generic_rank of each map alone and
+    the plain per-map trial loop, report for report, at two seeds and with
+    one and three trials."""
+    for seed in (DEFAULT_SEED, 7):
+        for trials in (1, 3):
+            group = generic_ranks(cms, trials=trials, seed=seed)
+            assert group == [generic_rank(cm, trials=trials, seed=seed)
+                             for cm in cms]
+            assert group == [reference_generic_rank(cm, trials, seed)
+                             for cm in cms]
+
+
+def _placements(n, edges, leaks, io_sets):
+    return [coefficient_map(Model.create(n, edges, ins, outs, leaks))
+            for ins, outs in io_sets]
+
+
+def test_generic_ranks_every_tree_placement():
+    groups = 0
+    for n in (1, 2, 3, 4):
+        single = [([i], [o]) for i in range(1, n + 1) for o in range(1, n + 1)]
+        for und in labeled_trees(n):
+            edges = [e for (u, v) in und for e in ((u, v), (v, u))]
+            for size in (0, 1, 2):
+                for leaks in itertools.combinations(range(1, n + 1), size):
+                    _assert_group_matches(_placements(n, edges, leaks, single))
+                    groups += 1
+    assert groups == 203
+
+
+def test_generic_ranks_random_graphs_with_multi_io():
+    rng = random.Random(71)
+    for n in (4, 5, 6):
+        for _ in range(2):
+            edges = random_strongly_connected_edges(rng, n, 0.5)
+            leaks = [v for v in range(1, n + 1) if rng.random() < 0.3]
+            io_sets = [([i], [o]) for i in range(1, n + 1) for o in range(1, n + 1)]
+            io_sets += [([1, n], [n]), ([2], [1, n]), (range(1, n + 1), [1, 2]),
+                        ([n], range(1, n + 1))]
+            _assert_group_matches(_placements(n, edges, leaks, io_sets))
+
+
+def test_generic_ranks_maps_stop_at_their_own_trial():
+    # four_edge_sc: some placements reach min(p, m) at trial 0, others
+    # fall short and run every trial
+    m = REF["four_edge_sc"]
+    single = [([i], [o]) for i in range(1, m.n + 1) for o in range(1, m.n + 1)]
+    cms = _placements(m.n, m.edges, m.leaks, single)
+    assert {len(r.trials) for r in generic_ranks(cms)} == {1, 3}
+    _assert_group_matches(cms)
+
+
+def test_generic_ranks_rejects_mixed_groups():
+    assert generic_ranks([]) == []
+    base = mk(3, [(1, 2), (2, 3), (3, 1)], [1], [2], [1])
+    others = (mk(3, [(1, 2), (2, 3), (3, 1), (1, 3)], [1], [2], [1]),
+              mk(3, [(1, 2), (2, 3), (3, 1)], [1], [2], [2]),
+              mk(4, [(1, 2), (2, 3), (3, 1)], [1], [2], [1]))
+    for other in others:
+        with pytest.raises(ValueError):
+            generic_ranks([coefficient_map(base), coefficient_map(other)])
+    with pytest.raises(ValueError):
+        generic_ranks([coefficient_map(base)], trials=0)
+
+
+def test_echelon_rank_equals_gaussian_elimination():
+    rng = random.Random(72)
+    p = 7                       # small, so random rows are often dependent
+    for _ in range(300):
+        cols = rng.randrange(1, 7)
+        rows = [[rng.randrange(p) if rng.random() < 0.7 else 0
+                 for _ in range(cols)] for _ in range(rng.randrange(0, 10))]
+        rows += [[0] * cols] * rng.randrange(2)
+        if rows:
+            rows += [list(rng.choice(rows))] * rng.randrange(2)
+        rng.shuffle(rows)
+        assert len(_echelon([], rows, p)) == rank_mod(rows, p)
+        # extending a basis in two steps reaches the same rank, and leaves
+        # the basis it was given as it was
+        cut = rng.randrange(len(rows) + 1)
+        head = _echelon([], rows[:cut], p)
+        before = list(head)
+        assert len(_echelon(head, rows[cut:], p)) == rank_mod(rows, p)
+        assert head == before
 
 
 # -- frozen rank values for the reference corpus ------------------------------
