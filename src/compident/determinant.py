@@ -215,32 +215,25 @@ def check_minor_forest_signs(m: Model) -> int:
     return count
 
 
-def check_minor_identities(m: Model) -> MinorIdentityReport:
-    """Verify the determinant identities tying m to its leaf-edge extension.
+def check_leaf_edge_identities(m: Model) -> LambdaPoly:
+    """Verify identities 1-3 tying m to its leaf-edge extension at 1.
 
-    Preconditions: m is strongly connected and leakless.  A new
-    compartment n is attached to compartment 1 by a bidirected edge and
-    the following exact identities are checked (A is the matrix of m, B
-    the matrix of the extended model, n its compartment count):
+    A new compartment n is attached to compartment 1 of the leakless
+    model m by a bidirected edge.  With A the matrix of m and B that of
+    the extended model, the exact identities checked are:
 
     1. det(lI - B) = l*det(lI - A) + a_1n*det(lI - A)
                      + a_n1*l*det((lI - A)^{1,1})
     2. det((lI - B)^{1,n}) = (-1)^(n-1) * a_n1 * det((lI - A)^{1,1})
     3. det((lI - B)^{n,1}) = (-1)^(n-1) * a_1n * det((lI - A)^{1,1})
 
-    plus the row/column-1 deletion identity on m itself.  Raises
-    :class:`IdentityCheckError` on any failure.
+    Returns det(lI - B); raises :class:`IdentityCheckError` on any failure.
     """
-    if m.leaks:
-        raise ValueError("leaf-edge identities require a leakless model")
-    if not is_strongly_connected(m):
-        raise ValueError("leaf-edge identities require a strongly connected model")
     from .transforms import add_leaf_edge
 
-    extended = add_leaf_edge(m, 1).model
-    n = extended.n
+    n = m.n + 1
     A = compartmental_matrix(m)
-    B = compartmental_matrix(extended)
+    B = compartmental_matrix(add_leaf_edge(m, 1).model)
     det_a = char_lambda_poly(A)
     det_b = char_lambda_poly(B)
     minor_a11 = minor_lambda_poly(A, 1, 1)
@@ -254,6 +247,22 @@ def check_minor_identities(m: Model) -> MinorIdentityReport:
              "leaf-edge-minor-1n")
     _require(minor_lambda_poly(B, n, 1) == minor_a11.scale(a_1n.scale(sign)),
              "leaf-edge-minor-n1")
+    return det_b
+
+
+def check_minor_identities(m: Model) -> MinorIdentityReport:
+    """Verify the determinant identities tying m to its leaf-edge extension.
+
+    Preconditions: m is strongly connected and leakless.  Checks the
+    leaf-edge identities of :func:`check_leaf_edge_identities` plus the
+    row/column-1 deletion identity on m itself.  Raises
+    :class:`IdentityCheckError` on any failure.
+    """
+    if m.leaks:
+        raise ValueError("leaf-edge identities require a leakless model")
+    if not is_strongly_connected(m):
+        raise ValueError("leaf-edge identities require a strongly connected model")
+    check_leaf_edge_identities(m)
     pairs = check_stripped_minor_identity(m)
     return MinorIdentityReport(
         model_compartments=m.n,

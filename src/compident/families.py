@@ -91,29 +91,9 @@ def labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 def is_bidirectional_tree(m: Model) -> bool:
     """True iff every edge is paired with its reverse and the underlying
-    undirected graph is a tree (connected and acyclic)."""
-    for (f, t) in m.edges:
-        if (t, f) not in m.edges:
-            return False
-    und = {(min(f, t), max(f, t)) for (f, t) in m.edges}
-    if len(und) != m.n - 1:
-        return False
-    if m.n == 1:
-        return True
-    # n-1 undirected edges + connected => tree
-    adj: dict[int, list[int]] = {i: [] for i in m.compartments()}
-    for (a, b) in und:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == m.n
+    undirected graph is a tree: its n - 1 edges connect all n vertices."""
+    return (all((t, f) in m.edges for (f, t) in m.edges)
+            and len(m.edges) == 2 * (m.n - 1) and is_strongly_connected(m))
 
 
 def random_strongly_connected_edges(rng: random.Random, n: int,

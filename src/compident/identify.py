@@ -50,7 +50,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .families import is_bidirectional_tree
-from .forests import lhs_coefficients, rhs_coefficients
+from .forests import lhs_coefficients, nonconstant_counts, rhs_coefficients
 from .model import Model, distance, inductively_strong_order, is_strongly_connected, param_vector
 from .poly import PRIMES, FieldPoint, Param, Poly
 
@@ -462,32 +462,22 @@ def count_criterion(m: Model) -> Optional[dict]:
     """Parameters-versus-coefficients bound; returns evidence when it fires.
 
     For a strongly connected model with one input and one output the
-    coefficient count is known in closed form, so having strictly more
-    parameters forces the map to be infinite-to-one.  A None result says
-    nothing about identifiability.
+    coefficient count is known in closed form
+    (:func:`~compident.forests.nonconstant_counts`), so having strictly
+    more parameters forces the map to be infinite-to-one.  A None result
+    says nothing about identifiability.  The evidence's ``case`` numbers
+    the bound's four forms: 1 leaky with input = output, 2 leaky, 3
+    leakless with input = output, 4 leakless.
     """
-    if len(m.inputs) != 1 or len(m.outputs) != 1:
-        raise ValueError("count criterion requires one input and one output")
-    if not is_strongly_connected(m):
-        raise ValueError("count criterion requires a strongly connected model")
+    bound = sum(nonconstant_counts(m))
+    params = m.param_count()
+    if params <= bound:
+        return None
     (inp,) = m.inputs
     (out,) = m.outputs
-    n, edge_count, leak_count = m.n, len(m.edges), len(m.leaks)
-    p = edge_count + leak_count
-    length = 0 if inp == out else int(distance(m, inp, out))
-    if m.leaks and inp == out:
-        case, bound = 1, 2 * n - 1
-    elif m.leaks:
-        case, bound = 2, 2 * n - length
-    elif inp == out:
-        case, bound = 3, 2 * n - 2
-    else:
-        case, bound = 4, 2 * n - length - 1
-    count = p if m.leaks else edge_count
-    if count > bound:
-        return {"case": case, "params": count, "bound": bound,
-                "distance": length, "leaks": leak_count}
-    return None
+    return {"case": 1 + (inp != out) + 2 * (not m.leaks), "params": params,
+            "bound": bound, "distance": int(distance(m, inp, out)),
+            "leaks": len(m.leaks)}
 
 
 def classify_tree(m: Model) -> Verdict:

@@ -159,12 +159,10 @@ def parse_model(text: str) -> Model:
             raise ModelValidationError(f"missing key {key!r}")
 
     n = _require_int(doc["compartments"], "compartments")
-    if n < 1:
-        raise ModelValidationError("compartments: must be >= 1")
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise ModelValidationError("edges: expected a list")
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for idx, e in enumerate(raw_edges):
         path = f"edges[{idx}]"
         if not isinstance(e, dict) or set(e) != {"from", "to"}:
@@ -179,17 +177,10 @@ def parse_model(text: str) -> Model:
             raise ModelValidationError(f"{path}: self-edge {f}->{t}")
         if (f, t) in edges:
             raise ModelValidationError(f"{path}: duplicate edge {f}->{t}")
-        edges.append((f, t))
-    inputs = _require_id_list(doc["in"], "in")
-    outputs = _require_id_list(doc["out"], "out")
-    leaks = _require_id_list(doc["leak"], "leak")
-    for field, vals in (("in", inputs), ("out", outputs), ("leak", leaks)):
-        for v in vals:
-            if not (1 <= v <= n):
-                raise ModelValidationError(f"{field}: compartment {v} out of range 1..{n}")
-    if not outputs:
-        raise ModelValidationError("out: must be nonempty")
-    return Model.create(n, edges, inputs, outputs, leaks)
+        edges.add((f, t))
+    return Model.create(n, edges, _require_id_list(doc["in"], "in"),
+                        _require_id_list(doc["out"], "out"),
+                        _require_id_list(doc["leak"], "leak"))
 
 
 def model_to_dict(m: Model) -> dict:
@@ -216,29 +207,25 @@ def load_model(path: str) -> Model:
 # Graph predicates
 
 
-def _reach_count(n: int, adj: dict[int, list[int]], start: int) -> int:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen)
+def _bfs(edges: Iterable[tuple[int, int]], start: int) -> dict[int, int]:
+    """Shortest-path edge count from ``start`` to every node it reaches."""
+    succ: dict[int, list[int]] = {}
+    for (f, t) in edges:
+        succ.setdefault(f, []).append(t)
+    dist = {start: 0}
+    queue = [start]
+    for v in queue:
+        for w in succ.get(v, ()):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def is_strongly_connected(m: Model) -> bool:
     """True iff every ordered pair of compartments is joined by a path."""
-    if m.n == 1:
-        return True
-    adj: dict[int, list[int]] = {i: [] for i in m.compartments()}
-    radj: dict[int, list[int]] = {i: [] for i in m.compartments()}
-    for (f, t) in m.edges:
-        adj[f].append(t)
-        radj[t].append(f)
-    return (_reach_count(m.n, adj, 1) == m.n
-            and _reach_count(m.n, radj, 1) == m.n)
+    reverse = [(t, f) for (f, t) in m.edges]
+    return len(_bfs(m.edges, 1)) == m.n == len(_bfs(reverse, 1))
 
 
 def distance(m: Model, a: int, b: int) -> int | float:
@@ -247,84 +234,34 @@ def distance(m: Model, a: int, b: int) -> int | float:
     Returns 0 when a == b and ``math.inf`` when b is unreachable from a
     (callers decide how to treat the unreachable case).
     """
-    if a == b:
-        return 0
-    adj: dict[int, list[int]] = {i: [] for i in m.compartments()}
-    for (f, t) in m.edges:
-        adj[f].append(t)
-    dist = {a: 0}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    if w == b:
-                        return dist[w]
-                    nxt.append(w)
-        frontier = nxt
-    return math.inf
-
-
-def _induced_strongly_connected(m: Model, nodes: set[int]) -> bool:
-    if len(nodes) == 1:
-        return True
-    edges = [(f, t) for (f, t) in m.edges if f in nodes and t in nodes]
-    adj: dict[int, list[int]] = {i: [] for i in nodes}
-    radj: dict[int, list[int]] = {i: [] for i in nodes}
-    for (f, t) in edges:
-        adj[f].append(t)
-        radj[t].append(f)
-    start = next(iter(nodes))
-
-    def reach(graph):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in graph[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    return len(reach(adj)) == len(nodes) and len(reach(radj)) == len(nodes)
+    return _bfs(m.edges, a).get(b, math.inf)
 
 
 def inductively_strong_order(m: Model, root: int) -> tuple[int, ...] | None:
     """Witness ordering for inductive strong connectivity, or None.
 
     Searches for an ordering v1=root, v2, ..., vn such that every prefix
-    induces a strongly connected subgraph.  Plain backtracking: the check
-    is exponential in the worst case, which is acceptable at the scale
-    this package targets (n <= ~10), and it is only ever a sufficiency
-    shortcut, never needed for correctness.
+    induces a strongly connected subgraph.  When a prefix is strongly
+    connected, adding v keeps it so exactly when v has an edge into the
+    prefix and an edge from it.  A vertex that can be added stays
+    addable as the prefix grows, so taking the smallest addable vertex
+    at each step never loses a witness: the result is the
+    lexicographically first witness, found in O(n^2 * e).
     """
     if not (1 <= root <= m.n):
         raise ValueError(f"root {root} out of range 1..{m.n}")
-
     order = [root]
     used = {root}
-
-    def extend() -> bool:
-        if len(order) == m.n:
-            return True
-        for v in m.compartments():
-            if v in used:
-                continue
-            if _induced_strongly_connected(m, set(order) | {v}):
-                order.append(v)
-                used.add(v)
-                if extend():
-                    return True
-                order.pop()
-                used.remove(v)
-        return False
-
-    if extend():
-        return tuple(order)
-    return None
+    while len(order) < m.n:
+        v = min((v for v in m.compartments() if v not in used
+                 and any(f == v and t in used for (f, t) in m.edges)
+                 and any(t == v and f in used for (f, t) in m.edges)),
+                default=None)
+        if v is None:
+            return None
+        order.append(v)
+        used.add(v)
+    return tuple(order)
 
 
 def is_inductively_strongly_connected(m: Model, root: int) -> bool:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import Model, is_strongly_connected
-from .poly import Poly
 
 GUARANTEE_IDENT = "preserves_identifiability"
 GUARANTEE_DIM = "preserves_expected_dimension"
@@ -172,21 +171,24 @@ def verify_rank_relation(m: Model, t: Transform, *, trials: int | None = None,
     the matrix of the moved model on n compartments:
 
     * generic rank after = generic rank before + 2;
-    * the new minor determinant factors exactly:
-      ``det((lI-B)^{1,n}) = (-1)^(n-1) a_n1 det((lI-A)^{1,1})`` for a
-      moved output (``(n,1)`` and ``a_1n`` for a moved input);
-    * the new characteristic coefficients satisfy
-      ``c*_i = c_{i-1} + a_1n c_i + a_n1 d_{i-1}`` with c*_0 = 0.
+    * the leaf-edge identities of
+      :func:`~compident.determinant.check_leaf_edge_identities`: the new
+      minor determinants factor as
+      ``det((lI-B)^{1,n}) = (-1)^(n-1) a_n1 det((lI-A)^{1,1})`` (and
+      ``(n,1)`` with ``a_1n``), and the new characteristic coefficients
+      satisfy ``c*_i = c_{i-1} + a_1n c_i + a_n1 d_{i-1}``;
+    * c*_0 = 0.
 
-    Raises :class:`RankRelationError` on any violation; returns a report
-    dict with both ranks and the names of the verified relations.
+    Raises :class:`RankRelationError` when a rank or c*_0 check fails and
+    :class:`~compident.determinant.IdentityCheckError` when an identity
+    fails; returns a report dict with both ranks and the names of the
+    verified relations.
 
     The determinant identities are stated for attachment at compartment 1;
     for other attachment points the model is relabeled first (labels are
     arbitrary, and ranks are invariant under relabeling).
     """
-    from .determinant import char_lambda_poly, minor_lambda_poly
-    from .graphs import compartmental_matrix
+    from .determinant import check_leaf_edge_identities
     from .identify import DEFAULT_SEED, DEFAULT_TRIALS, coefficient_map, generic_rank
     from .model import relabel
 
@@ -203,40 +205,13 @@ def verify_rank_relation(m: Model, t: Transform, *, trials: int | None = None,
         m = relabel(m, {1: t.at, t.at: 1})
         t = Transform(t.kind, 1)
 
-    result = apply_transform(m, t)
-    moved = result.model
-    n = moved.n
-
+    moved = apply_transform(m, t).model
     rank_before = generic_rank(coefficient_map(m), trials=trials, seed=seed).rank
     rank_after = generic_rank(coefficient_map(moved), trials=trials, seed=seed).rank
     if rank_after != rank_before + 2:
         raise RankRelationError(
             f"rank after move = {rank_after}, expected {rank_before} + 2")
-
-    A = compartmental_matrix(m)
-    B = compartmental_matrix(moved)
-    char_a = char_lambda_poly(A)
-    char_b = char_lambda_poly(B)
-    minor_a = minor_lambda_poly(A, 1, 1)
-    a_1n = Poly.var((t.at, n))
-    a_n1 = Poly.var((n, t.at))
-    sign = 1 if (n - 1) % 2 == 0 else -1
-
-    if t.kind == KIND_ADD_LEAF_MOVE_OUT:
-        minor_b = minor_lambda_poly(B, t.at, n)
-        scaled = minor_a.scale(a_n1.scale(sign))
-    else:
-        minor_b = minor_lambda_poly(B, n, t.at)
-        scaled = minor_a.scale(a_1n.scale(sign))
-    if minor_b != scaled:
-        raise RankRelationError("moved minor does not factor through the old one")
-
-    expected_char = (char_a.shift(1) + char_a.scale(a_1n)
-                     + minor_a.scale(a_n1).shift(1))
-    if char_b != expected_char:
-        raise RankRelationError("characteristic coefficients do not satisfy "
-                                "c*_i = c_{i-1} + a_1n c_i + a_n1 d_{i-1}")
-    if char_b.coeff(0):
+    if check_leaf_edge_identities(m).coeff(0):
         raise RankRelationError("c*_0 must vanish for leakless models")
 
     return {

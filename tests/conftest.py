@@ -99,6 +99,14 @@ def undirected_components(g: AuxGraph, edge_indices) -> list[set[int]]:
 # connectivity oracle: transitive closure by boolean matrix powering
 
 
+def all_digraphs(max_n: int):
+    """Every digraph on 1..n for n <= max_n, as (n, edge list)."""
+    for n in range(1, max_n + 1):
+        pairs = [(f, t) for f in range(1, n + 1) for t in range(1, n + 1) if f != t]
+        for bits in range(2 ** len(pairs)):
+            yield n, [pairs[k] for k in range(len(pairs)) if bits >> k & 1]
+
+
 def closure_strongly_connected(n: int, edges) -> bool:
     reach = [[i == j for j in range(n)] for i in range(n)]
     for (f, t) in edges:

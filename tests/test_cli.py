@@ -334,3 +334,5 @@ def test_fixture_files_match_builtin_corpus(fixtures_dir):
         path = os.path.join(fixtures_dir, meta["file"])
         assert load_model(path) == ref[name]
         assert open(path).read().strip() == serialize_model(ref[name])
+    assert {name: meta["expected_verdict"] for name, meta in manifest.items()} \
+        == cli._FIXTURE_EXPECTATIONS

@@ -42,9 +42,9 @@ from compident.identify import (
 from compident.model import Model, distance, model_to_dict
 from compident.poly import PRIMES, FieldPoint, Poly
 
-from conftest import (eval_mod, mk, rank_mod, rational_generic_rank,
-                      reference_generic_rank, symbolic_jacobian_mod_point,
-                      symbolic_labels)
+from conftest import (all_digraphs, closure_strongly_connected, eval_mod, mk,
+                      rank_mod, rational_generic_rank, reference_generic_rank,
+                      symbolic_jacobian_mod_point, symbolic_labels)
 
 REF = reference_models()
 FIG1 = REF["k3_leak"]
@@ -338,6 +338,41 @@ def test_count_criterion_preconditions():
         count_criterion(mk(2, [(1, 2), (2, 1)], [1, 2], [1]))
     with pytest.raises(ValueError):
         count_criterion(mk(2, [(1, 2)], [1], [2]))
+
+
+def _count_law_models():
+    """Every strongly connected one-input/one-output model with n <= 3 and
+    at most two leaks, then seeded random ones with n = 4..6."""
+    for n, edges in all_digraphs(3):
+        if not closure_strongly_connected(n, edges):
+            continue
+        for inp, out in itertools.product(range(1, n + 1), repeat=2):
+            for k in range(3):
+                for leaks in itertools.combinations(range(1, n + 1), k):
+                    yield mk(n, edges, [inp], [out], leaks)
+    rng = random.Random(65)
+    for _ in range(30):
+        yield random_strongly_connected_model(rng, rng.randrange(4, 7))
+
+
+def test_count_criterion_bound_is_the_coefficient_count():
+    from compident.forests import nonconstant_counts
+    for m in _count_law_models():
+        cm = coefficient_map(m)
+        assert sum(nonconstant_counts(m)) == cm.m
+        fired = count_criterion(m)
+        assert (fired is not None) == (m.param_count() > cm.m)
+        if fired is None:
+            continue
+        (inp,), (out,), n = m.inputs, m.outputs, m.n
+        length = int(distance(m, inp, out))
+        if m.leaks:
+            case, bound = (1, 2 * n - 1) if inp == out else (2, 2 * n - length)
+        else:
+            case, bound = (3, 2 * n - 2) if inp == out else (4, 2 * n - length - 1)
+        assert fired == {"case": case, "params": m.param_count(), "bound": bound,
+                         "distance": length, "leaks": len(m.leaks)}
+        assert bound == cm.m
 
 
 def test_count_criterion_fire_implies_rank_unidentifiable():

@@ -7,7 +7,12 @@ import random
 
 import pytest
 
-from compident.families import catenary, mammillary, random_strongly_connected_model
+from compident.families import (
+    catenary,
+    is_bidirectional_tree,
+    mammillary,
+    random_strongly_connected_model,
+)
 from compident.model import (
     Model,
     ModelValidationError,
@@ -21,7 +26,7 @@ from compident.model import (
     serialize_model,
 )
 
-from conftest import closure_strongly_connected, mk
+from conftest import all_digraphs, closure_strongly_connected, mk
 
 FIG1_JSON = json.dumps({
     "compartments": 3,
@@ -57,6 +62,8 @@ def test_parse_single_compartment_no_params():
     ({"compartments": 2, "edges": [], "in": [], "out": [1]}, "missing key"),
     ({"compartments": "2", "edges": [], "in": [], "out": [1], "leak": []}, "integer"),
     ({"compartments": 2, "edges": [], "in": [1, 1], "out": [1], "leak": []}, "duplicate"),
+    ({"compartments": 0, "edges": [], "in": [], "out": [1], "leak": []},
+     "compartments: must be a positive integer"),
 ])
 def test_parse_rejections(doc, needle):
     with pytest.raises(ModelValidationError) as err:
@@ -93,13 +100,9 @@ def test_strongly_connected_examples():
 
 
 def test_strongly_connected_matches_closure_oracle_exhaustive():
-    # every digraph on up to 4 nodes
-    for n in range(1, 5):
-        pairs = [(f, t) for f in range(1, n + 1) for t in range(1, n + 1) if f != t]
-        for bits in range(2 ** len(pairs)):
-            edges = [pairs[k] for k in range(len(pairs)) if bits >> k & 1]
-            m = mk(n, edges, [], [1])
-            assert is_strongly_connected(m) == closure_strongly_connected(n, edges)
+    for n, edges in all_digraphs(4):
+        m = mk(n, edges, [], [1])
+        assert is_strongly_connected(m) == closure_strongly_connected(n, edges)
 
 
 # -- distances -------------------------------------------------------------
@@ -122,16 +125,72 @@ def test_distance_triangle_inequality_random():
                 assert (distance(m, a, b) == 0) == (a == b)
 
 
+def floyd_warshall(n, edges):
+    d = [[0 if i == j else math.inf for j in range(n + 1)] for i in range(n + 1)]
+    for (f, t) in edges:
+        d[f][t] = 1
+    for k in range(1, n + 1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+def test_distance_matches_floyd_warshall_exhaustive():
+    for n, edges in all_digraphs(4):
+        m = mk(n, edges, [], [1])
+        d = floyd_warshall(n, edges)
+        for a in m.compartments():
+            for b in m.compartments():
+                assert distance(m, a, b) == d[a][b]
+
+
+# -- bidirectional trees ------------------------------------------------------
+
+def union_find_tree(n, edges) -> bool:
+    """Paired edges whose n - 1 undirected edges never close a cycle."""
+    if any((t, f) not in edges for (f, t) in edges):
+        return False
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    und = {(min(f, t), max(f, t)) for (f, t) in edges}
+    for (a, b) in und:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+    return len(und) == n - 1
+
+
+def test_bidirectional_tree_matches_union_find_exhaustive():
+    trees = 0
+    for n, edges in all_digraphs(4):
+        expected = union_find_tree(n, set(edges))
+        assert is_bidirectional_tree(mk(n, edges, [], [1])) == expected
+        trees += expected
+    assert trees == 1 + 1 + 3 + 16     # n^(n-2) labeled trees for n = 1..4
+
+
 # -- inductive strong connectivity ------------------------------------------
 
-def brute_isc(m, root) -> bool:
+def brute_isc_order(m, root):
+    """The lexicographically first witness ordering, or None."""
     others = [v for v in m.compartments() if v != root]
     for perm in itertools.permutations(others):
         order = (root,) + perm
         if all(closure_strongly_connected_induced(m, order[:k + 1])
                for k in range(len(order))):
-            return True
-    return False
+            return order
+    return None
+
+
+def brute_isc(m, root) -> bool:
+    return brute_isc_order(m, root) is not None
 
 
 def closure_strongly_connected_induced(m, nodes) -> bool:
@@ -166,6 +225,13 @@ def test_isc_matches_brute_force_random():
         m = mk(n, edges, [1], [1])
         root = rng.randrange(1, n + 1)
         assert is_inductively_strongly_connected(m, root) == brute_isc(m, root)
+
+
+def test_isc_order_is_first_brute_force_witness_exhaustive():
+    for n, edges in all_digraphs(4):
+        m = mk(n, edges, [], [1])
+        for root in m.compartments():
+            assert inductively_strong_order(m, root) == brute_isc_order(m, root)
 
 
 def test_isc_witness_prefixes_are_strongly_connected():
