@@ -29,13 +29,9 @@ from .families import (
     reference_models,
 )
 from .forests import (
-    Forest,
-    ForestQuery,
-    enumerate_forests,
     forest_sums_by_size,
     lhs_coefficients,
     nonconstant_counts,
-    productivity,
     rhs_coefficients,
 )
 from .graphs import (
@@ -53,11 +49,13 @@ from .identify import (
     CoefficientMap,
     DimReport,
     NoInputError,
+    NotATreeError,
     NotStronglyConnectedError,
     RankReport,
     Verdict,
     classify_tree,
     coefficient_map,
+    coefficient_maps,
     count_criterion,
     decide_identifiability,
     expected_dimension,

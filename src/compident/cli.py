@@ -30,7 +30,7 @@ from .identify import (
     NoInputError,
     NotStronglyConnectedError,
     classify_tree,
-    coefficient_map,
+    coefficient_maps,
     decide_identifiability,
     expected_dimension,
     generic_ranks,
@@ -244,10 +244,11 @@ def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
     output placement and every leak set of size at most 2, and compares
     the rank verdict against the tree classifier (identifiable iff
     distance <= 1 and leaks <= 1).  The n^2 placements of one tree and
-    leak set are ranked together by :func:`generic_ranks`, which
-    evaluates each trial's point and adjugate once for all of them.
-    Returns a summary dict with any disagreements (expected none), listed
-    by tree, input, output and leak set.
+    leak set form one group: :func:`coefficient_maps` lays out their maps
+    from one set of graph facts, and :func:`generic_ranks` ranks them
+    together, evaluating each trial's point and adjugate once for all of
+    them.  Returns a summary dict with any disagreements (expected none),
+    listed by tree, input, output and leak set.
     """
     per_n = {}
     disagreements = []
@@ -260,8 +261,8 @@ def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
         for und in families.labeled_trees(n):
             ranked = {}
             for leaks in leak_sets:
-                cms = [coefficient_map(families.bidirectional_tree_model(
-                    n, und, [inp], [out], leaks)) for (inp, out) in places]
+                cms = coefficient_maps([families.bidirectional_tree_model(
+                    n, und, [inp], [out], leaks) for (inp, out) in places])
                 reports = generic_ranks(cms, trials=trials, seed=seed)
                 for place, cm, report in zip(places, cms, reports):
                     ranked[place, leaks] = (cm, report.rank)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator
 
-from .model import Model, is_strongly_connected
+from .model import Model, distances, is_strongly_connected
 
 
 def _bidirect(und_edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -91,9 +91,14 @@ def labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 def is_bidirectional_tree(m: Model) -> bool:
     """True iff every edge is paired with its reverse and the underlying
-    undirected graph is a tree: its n - 1 edges connect all n vertices."""
-    return (all((t, f) in m.edges for (f, t) in m.edges)
-            and len(m.edges) == 2 * (m.n - 1) and is_strongly_connected(m))
+    undirected graph is a tree: its n - 1 edges connect all n vertices.
+
+    With every edge paired, each path reverses, so one search from
+    compartment 1 that reaches every compartment shows the connection.
+    """
+    return (len(m.edges) == 2 * (m.n - 1)
+            and all((t, f) in m.edges for (f, t) in m.edges)
+            and len(distances(m, 1)) == m.n)
 
 
 def random_strongly_connected_edges(rng: random.Random, n: int,

@@ -25,7 +25,6 @@ yields every coefficient of an equation side at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from .graphs import AuxGraph, leak_augmented, strip_outgoing
@@ -67,44 +66,6 @@ class _DSU:
         self.parent[ra] = ra
 
 
-@dataclass(frozen=True)
-class Forest:
-    """A spanning incoming forest, stored as edge positions in its host.
-
-    Positional edge identity keeps parallel edges of a multigraph host
-    distinct even when they join the same pair of nodes.
-    """
-
-    host: AuxGraph
-    edge_indices: tuple[int, ...]
-
-    def edge_count(self) -> int:
-        return len(self.edge_indices)
-
-    def labels(self):
-        return [self.host.edges[k][2] for k in self.edge_indices]
-
-
-@dataclass(frozen=True)
-class ForestQuery:
-    """Forests of ``host`` with ``edge_count`` edges; optionally restricted
-    to those whose underlying undirected graph puts ``same_component[0]``
-    and ``same_component[1]`` in one component."""
-
-    host: AuxGraph
-    edge_count: int
-    same_component: Optional[Tuple[int, int]] = None
-
-    def __post_init__(self):
-        if self.edge_count < 0:
-            raise ValueError("edge_count must be >= 0")
-        if self.same_component is not None:
-            nodes = set(self.host.nodes)
-            for v in self.same_component:
-                if v not in nodes:
-                    raise ValueError(f"node {v} not in host graph")
-
-
 def _iter_forests(g: AuxGraph) -> Iterator[tuple[list[int], _DSU]]:
     """Yield (chosen edge indices, live union-find) for every spanning
     incoming forest of g, in a fixed depth-first order.
@@ -132,25 +93,6 @@ def _iter_forests(g: AuxGraph) -> Iterator[tuple[list[int], _DSU]]:
                 dsu.undo()
 
     yield from rec(0)
-
-
-def enumerate_forests(query: ForestQuery) -> list[Forest]:
-    """All forests matching the query, in deterministic order."""
-    g = query.host
-    out: list[Forest] = []
-    pair = query.same_component
-    for chosen, dsu in _iter_forests(g):
-        if len(chosen) != query.edge_count:
-            continue
-        if pair is not None and dsu.find(pair[0]) != dsu.find(pair[1]):
-            continue
-        out.append(Forest(g, tuple(sorted(chosen))))
-    return out
-
-
-def productivity(f: Forest) -> Poly:
-    """Product of the forest's edge labels; 1 for the edgeless forest."""
-    return Poly.monomial(f.labels())
 
 
 def forest_sums_by_size(g: AuxGraph,

@@ -111,9 +111,6 @@ class SymMatrix:
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i - 1][j - 1]
 
-    def rows(self) -> tuple[tuple[Poly, ...], ...]:
-        return self.entries
-
 
 def compartmental_matrix(m: Model) -> SymMatrix:
     """The n x n compartmental matrix A of the model.

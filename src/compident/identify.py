@@ -9,19 +9,28 @@ reaches min(parameter count, coefficient count).
 Every coefficient is a coefficient of ``det(lambda*I - A)`` or of an
 entry of ``adj(lambda*I - A)``, so the Jacobian is evaluated at a point
 straight from the matrix, with no polynomial ever expanded.  At the point
-the adjugate and the characteristic polynomial come from Faddeev-LeVerrier
-(n - 1 sparse matrix products mod p).  Each parameter sits in one column
-of A, so the partials of ``det`` are differences of adjugate entries, and
-those of the adjugate follow from the Jacobi identity by one exact
-division by the monic characteristic polynomial.  A trial costs
+the adjugate and the characteristic polynomial c come from
+Faddeev-LeVerrier (n - 1 sparse matrix products mod p).  Each parameter
+sits in one column of A, so the partials of c (the left-side rows) are
+differences of adjugate entries, and those of the adjugate follow from
+the Jacobi identity as the quotient by c of ``u d - w v``, where u is the
+parameter's partial of c and d the adjugate entry.  The quotient is
+linear, and ``u -> Q(u d)`` is one fixed map for every parameter, so the
+rows of ``Q(u d)`` are combinations of the left-side rows that every map
+ranks anyway.  A right-side row is therefore taken modulo the left-side
+span, as ``-Q(w v)`` alone: every rank is the same, and half the
+products go.  The remaining products and the division by c are products
+of polynomials packed into single integers.  A trial costs
 O(n^4 + k n^2) for k parameters.  The point, the adjugate at it and the
 left-side partials depend on the graph and the leaks alone, not on where
 inputs and outputs sit, so :func:`generic_ranks` evaluates them once per
 trial for a group of maps that differ only in placement, reduces the
 shared left-side rows to echelon form once, and has each map extend that
-basis with its own right-side rows.  Which coefficients are non-constant is
+basis with its own right-side rows; v is formed once per output and a
+row once per (output, input).  Which coefficients are non-constant is
 read off the graph (forest sizes, terminal components and the
-input-to-output distance) in O(n + e).  The forest polynomials themselves
+input-to-output distance) in O(n + e), once per group by
+:func:`coefficient_maps`.  The forest polynomials themselves
 (:attr:`CoefficientMap.entries`) are only expanded on request.
 
 Rank at a generic point is computed by evaluating the Jacobian at random
@@ -43,7 +52,6 @@ can be bypassed (``force_rank``) to re-derive a verdict from rank alone.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,7 +59,8 @@ from typing import Optional, Sequence, Tuple
 
 from .families import is_bidirectional_tree
 from .forests import lhs_coefficients, nonconstant_counts, rhs_coefficients
-from .model import Model, distance, inductively_strong_order, is_strongly_connected, param_vector
+from .model import (Model, distance, distances, inductively_strong_order,
+                    is_strongly_connected, param_vector)
 from .poly import PRIMES, FieldPoint, Param, Poly
 
 DEFAULT_SEED = 20240101
@@ -74,6 +83,10 @@ class NotStronglyConnectedError(ValueError):
 
 class NoInputError(ValueError):
     """The coefficient map needs at least one input."""
+
+
+class NotATreeError(ValueError):
+    """The tree classification only covers bidirectional trees."""
 
 
 @dataclass(frozen=True)
@@ -173,26 +186,52 @@ def coefficient_map(m: Model) -> CoefficientMap:
     ``d`` starts at dist(input, output) and is empty when the output
     cannot be reached.
     """
-    if not m.inputs:
+    return coefficient_maps([m])[0]
+
+
+def coefficient_maps(models: Sequence[Model]) -> list[CoefficientMap]:
+    """:func:`coefficient_map` of each model, reading each graph fact once.
+
+    The models must share the compartment count, edges and leaks; they may
+    place inputs and outputs anywhere.  The left side's terminal
+    components are then counted once for the group, the stripped graph's
+    once per output and the distances by one search per input.
+    """
+    if not models:
+        return []
+    model = models[0]
+    if any((m.n, m.edges, m.leaks) != (model.n, model.edges, model.leaks)
+           for m in models):
+        raise ValueError("models must share compartments, edges and leaks")
+    if not all(m.inputs for m in models):
         raise NoInputError("model has no inputs")
-    n = m.n
+    n = model.n
     succ: list[list[int]] = [[] for _ in range(n + 1)]   # node 0: leak sink
-    for (f, t) in m.edges:
+    for (f, t) in model.edges:
         succ[f].append(t)
-    for j in m.leaks:
+    for j in model.leaks:
         succ[j].append(0)
     lhs_top = n + 1 - _terminal_components(succ)
-    coeffs: list[tuple[int, Optional[int], int]] = []
-    for out in sorted(m.outputs):
-        coeffs += [(out, None, n - s) for s in range(1, lhs_top + 1)]
-        rhs_top = n + 1 - _terminal_components(
-            succ[:out] + [[]] + succ[out + 1:])
-        for inp in sorted(m.inputs):
-            dist = distance(m, inp, out)
-            if dist != math.inf:
-                coeffs += [(out, inp, n - 1 - s)
-                           for s in range(max(int(dist), 1), rhs_top + 1)]
-    return CoefficientMap(m, param_vector(m), tuple(coeffs))
+    rhs_tops: dict[int, int] = {}
+    reach: dict[int, dict[int, int]] = {}
+    params = param_vector(model)
+    cms = []
+    for m in models:
+        coeffs: list[tuple[int, Optional[int], int]] = []
+        for out in sorted(m.outputs):
+            coeffs += [(out, None, n - s) for s in range(1, lhs_top + 1)]
+            if out not in rhs_tops:
+                rhs_tops[out] = n + 1 - _terminal_components(
+                    succ[:out] + [[]] + succ[out + 1:])
+            for inp in sorted(m.inputs):
+                if inp not in reach:
+                    reach[inp] = distances(m, inp)
+                dist = reach[inp].get(out)
+                if dist is not None:
+                    coeffs += [(out, inp, n - 1 - s) for s in
+                               range(max(dist, 1), rhs_tops[out] + 1)]
+        cms.append(CoefficientMap(m, params, tuple(coeffs)))
+    return cms
 
 
 def _terminal_components(succ: list[list[int]]) -> int:
@@ -289,9 +328,9 @@ def _diff(row: Sequence, j: int, i: Optional[int], p: int) -> Sequence:
     return tuple((a - b) % p for a, b in zip(row[j], row[i]))
 
 
-def _evaluate(n: int, params: Sequence[Param], point: FieldPoint) -> tuple:
+class _Point:
     """What one point gives every map on its graph and leaks, mod its
-    prime: ``(adj, c, cols, lhs)``.
+    prime, and the Jacobian rows it makes.
 
     ``adj[a][b]`` is entry (a, b) of adj(lambda*I - A), 0-based, by
     ascending powers of lambda, and ``c`` the characteristic polynomial.
@@ -300,79 +339,103 @@ def _evaluate(n: int, params: Sequence[Param], point: FieldPoint) -> tuple:
     M = lambda*I - A, ``a_ij`` sits at M[i][j] as -a_ij and at M[j][j] as
     +a_ij (``a_0j`` only at M[j][j]), so ``c = det M`` is affine in it and
     ``dc/da_ij = adj_jj - adj_ji``.  None of this depends on where the
-    inputs and outputs sit.
+    inputs and outputs sit, and the right-side partials are kept per
+    (output, input) for every map ranked at the point.
+
+    Right-side partials are quotients by c of products of polynomials of
+    degree < n, formed as integer products.  A polynomial with
+    coefficients below 2^s is packed into one integer, coefficient k at
+    bit s*(n-1-k), so the product of two packed integers packs the
+    product of the reversed polynomials.  Reversed, the quotient of a
+    product of degree <= 2n-2 is its first n-1 coefficients times
+    1/rev(c) modulo x^(n-1).  Every coefficient on the way is below
+    n^2 p^3, so s = 3*bits(p) + 2*bits(n) keeps them apart.
     """
-    p, values = point.prime, point.values
-    a_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    diag = [0] * n
-    for (i, j) in params:
-        v = values[(i, j)]
-        diag[j - 1] -= v
-        if i:
-            a_rows[i - 1].append((j - 1, v))
-    for j in range(n):
-        a_rows[j].append((j, diag[j] % p))
-    B, c = _adjugate(a_rows, p)
-    adj = [list(zip(*(Bk[a] for Bk in B))) for a in range(n)]
-    cols = [(i - 1 if i else None, j - 1) for (i, j) in params]
-    lhs = [_diff(adj[j], j, i, p) for (i, j) in cols]
-    return adj, c, cols, lhs
+
+    def __init__(self, n: int, params: Sequence[Param], point: FieldPoint):
+        p, values = point.prime, point.values
+        a_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        diag = [0] * n
+        for (i, j) in params:
+            v = values[(i, j)]
+            diag[j - 1] -= v
+            if i:
+                a_rows[i - 1].append((j - 1, v))
+        for j in range(n):
+            a_rows[j].append((j, diag[j] % p))
+        B, c = _adjugate(a_rows, p)
+        self.p, self.c = p, c
+        self.adj = [list(zip(*(Bk[a] for Bk in B))) for a in range(n)]
+        self.cols = [(i - 1 if i else None, j - 1) for (i, j) in params]
+        self.lhs = [_diff(self.adj[j], j, i, p) for (i, j) in self.cols]
+        s = self._slot = 3 * p.bit_length() + 2 * n.bit_length()
+        self._mask = (1 << (s * (n - 1))) - 1
+        inverse = [1] + [0] * (n - 2)          # 1/rev(c) mod x^(n-1)
+        for t in range(1, n - 1):
+            inverse[t] = -sum(c[n - a] * inverse[t - a]
+                              for a in range(1, t + 1)) % p
+        self._inverse = _pack(inverse[::-1], s)
+        self._v: dict[int, list[int]] = {}
+        self._w: dict[int, list[int]] = {}
+        self._quotients: dict[tuple[int, int], list[int]] = {}
+
+    def rows(self, coeffs: Sequence[tuple[int, Optional[int], int]]
+             ) -> list[list[int]]:
+        """The Jacobian rows of the coefficients, each right-side row
+        reduced modulo the span of the left-side rows.
+
+        With u = dc/da_ij, d = adj(M)[out][in], w = adj_j,in and
+        v = adj_out,j - adj_out,i (adj_out,j alone for a leak), the Jacobi
+        identity ``d adj_ab / d M_rc = (adj_cr adj_ab - adj_ar adj_cb) / c``
+        gives ``dd/da_ij = Q(u d) - Q(w v)``, where Q takes the quotient of
+        the division by the monic c.  Q is linear, so the coefficients of
+        ``Q(u d)`` are, for every parameter alike, one fixed combination
+        of the coefficients of u: the rows of ``Q(u d)`` lie in the span
+        of the left-side rows (a constant ``c_k`` has a zero row), which
+        every map ranks too.  Dropping them changes no rank, so a
+        right-side row is that of ``-Q(w v)``: half the products of the
+        full numerator, and d is never read.
+        """
+        p, s = self.p, self._slot
+        top = len(self.adj) - 2                 # Q's degree bound
+        slot_mask = (1 << s) - 1
+        rows = []
+        for (out, inp, k) in coeffs:
+            if inp is None:
+                rows.append([du[k] for du in self.lhs])
+                continue
+            quotients = self._quotients.get((out, inp))
+            if quotients is None:
+                quotients = self._quotients[(out, inp)] = \
+                    self._pair_quotients(out - 1, inp - 1)
+            shift = s * (top - k)
+            rows.append([-((q >> shift) & slot_mask) % p for q in quotients])
+        return rows
+
+    def _pair_quotients(self, out: int, inp: int) -> list[int]:
+        """Q(w v) of every parameter, packed and reversed: coefficient k
+        at bit s*(n-2-k).  v is packed once per output, w once per input."""
+        adj, p, s = self.adj, self.p, self._slot
+        vs = self._v.get(out)
+        if vs is None:
+            row_o = adj[out]
+            vs = self._v[out] = [_pack(_diff(row_o, j, i, p), s)
+                                 for (i, j) in self.cols]
+        ws = self._w.get(inp)
+        if ws is None:
+            ws = self._w[inp] = [_pack(adj[j][inp], s)
+                                 for j in range(len(adj))]
+        mask, inverse = self._mask, self._inverse
+        return [((ws[j] * v) & mask) * inverse & mask
+                for v, (_i, j) in zip(vs, self.cols)]
 
 
-def _rows(ev: tuple, coeffs: Sequence[tuple[int, Optional[int], int]],
-          p: int) -> list[list[int]]:
-    """The Jacobian rows of the coefficients at a point evaluated mod p.
-
-    With d = adj(M)[out][in], the Jacobi identity
-    ``d adj_ab / d M_rc = (adj_cr adj_ab - adj_ar adj_cb) / c`` gives ::
-
-        dd/da_ij = ((adj_jj - adj_ji) d - adj_j,in (adj_out,j - adj_out,i)) / c
-
-    where the division by the monic c is exact.  The numbers equal the
-    partial derivatives of the forest polynomials at the point.
-    """
-    adj, c, cols, lhs = ev
-    rhs: dict[tuple[int, int], list[list[int]]] = {}
-    rows = []
-    for (out, inp, k) in coeffs:
-        if inp is None:
-            rows.append([du[k] for du in lhs])
-            continue
-        if (out, inp) not in rhs:
-            row_o = adj[out - 1]
-            rhs[(out, inp)] = [
-                _exact_quotient(du, row_o[inp - 1], adj[j][inp - 1],
-                                _diff(row_o, j, i, p), c, p)
-                for du, (i, j) in zip(lhs, cols)]
-        rows.append([dd[k] for dd in rhs[(out, inp)]])
-    return rows
-
-
-def _jacobian_at(cm: CoefficientMap, point: FieldPoint) -> list[list[int]]:
-    """The Jacobian of the coefficient map at the point, mod its prime."""
-    return _rows(_evaluate(cm.model.n, cm.params, point), cm.coeffs,
-                 point.prime)
-
-
-def _exact_quotient(u: Sequence[int], d: Sequence[int], w: Sequence[int],
-                    v: Sequence[int], c: Sequence[int], p: int) -> list[int]:
-    """(u*d - w*v) / c for polynomials of degree < n and a monic c of
-    degree n, where the division is known to be exact.
-
-    Only the numerator's coefficients of lambda^n and up enter the
-    quotient, so only those are formed; the rest would be the zero
-    remainder.
-    """
-    n = len(u)
-    top = [sum(u[a] * d[e - a] - w[a] * v[e - a] for a in range(e - n + 1, n))
-           for e in range(n, 2 * n - 1)]
-    q = [0] * n
-    for t in range(n - 2, -1, -1):
-        qt = top[t] % p
-        q[t] = qt
-        for s in range(n - t, n):
-            top[t + s - n] -= qt * c[s]
-    return q
+def _pack(poly: Sequence[int], s: int) -> int:
+    """The integer with coefficient k of poly at bit s*(len - 1 - k)."""
+    x = 0
+    for coef in poly:
+        x = (x << s) | coef
+    return x
 
 
 def _echelon(basis: list[tuple[int, int, list[int]]], rows: list[list[int]],
@@ -421,8 +484,9 @@ def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
 
     The maps must share the compartment count, edges and leaks; they may
     place inputs and outputs anywhere.  A trial's point, the adjugate at
-    it and the left-side partials then serve every map, and only the
-    right-side partials and the rank are per map.  Each map keeps its own
+    it and the left-side partials then serve every map, the right-side
+    partials serve every map with the same (output, input) pair, and only
+    the rank is per map.  Each map keeps its own
     early stop, so every report equals that of ``generic_rank`` alone.
     """
     if trials < 1:
@@ -448,10 +512,10 @@ def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
         prime = PRIMES[t % len(PRIMES)]
         trial_seed = seed + t
         point = FieldPoint.random(params, prime, random.Random(trial_seed))
-        ev = _evaluate(model.n, params, point)
-        lhs = _echelon([], _rows(ev, lhs_coeffs, prime), prime)
+        at = _Point(model.n, params, point)
+        lhs = _echelon([], at.rows(lhs_coeffs), prime)
         for k in live:
-            r = len(_echelon(lhs, _rows(ev, rhs[k], prime), prime))
+            r = len(_echelon(lhs, at.rows(rhs[k]), prime))
             logs[k].append(TrialResult(prime, trial_seed, r))
             best[k] = max(best[k], r)
     return [RankReport(best[k], tuple(logs[k]), cm.p, cm.m)
@@ -469,14 +533,16 @@ def count_criterion(m: Model) -> Optional[dict]:
     the bound's four forms: 1 leaky with input = output, 2 leaky, 3
     leakless with input = output, 4 leakless.
     """
-    bound = sum(nonconstant_counts(m))
+    lhs, rhs = nonconstant_counts(m)
     params = m.param_count()
-    if params <= bound:
+    if params <= lhs + rhs:
         return None
     (inp,) = m.inputs
     (out,) = m.outputs
+    # The right side counts n - dist(input, output) coefficients when the
+    # two differ, so the distance is read off the count, not searched again.
     return {"case": 1 + (inp != out) + 2 * (not m.leaks), "params": params,
-            "bound": bound, "distance": int(distance(m, inp, out)),
+            "bound": lhs + rhs, "distance": m.n - rhs if inp != out else 0,
             "leaks": len(m.leaks)}
 
 
@@ -485,10 +551,11 @@ def classify_tree(m: Model) -> Verdict:
 
     A bidirectional tree model with one input and one output is
     identifiable exactly when the input-to-output distance is at most 1
-    and there is at most one leak.
+    and there is at most one leak.  Raises :class:`NotATreeError` for any
+    other graph.
     """
     if not is_bidirectional_tree(m):
-        raise ValueError("model graph is not a bidirectional tree")
+        raise NotATreeError("model graph is not a bidirectional tree")
     if len(m.inputs) != 1 or len(m.outputs) != 1:
         raise ValueError("tree classification requires one input and one output")
     (inp,) = m.inputs
@@ -546,8 +613,10 @@ def decide_identifiability(m: Model, *, trials: int = DEFAULT_TRIALS,
             fired = count_criterion(m)
             if fired is not None:
                 return Verdict(UNIDENTIFIABLE, METHOD_COUNT, None, fired)
-            if is_bidirectional_tree(m):
+            try:
                 return classify_tree(m)
+            except NotATreeError:
+                pass
         witness = isc_sufficiency(m)
         if witness is not None:
             return Verdict(IDENTIFIABLE, METHOD_ISC, None,

@@ -228,13 +228,19 @@ def is_strongly_connected(m: Model) -> bool:
     return len(_bfs(m.edges, 1)) == m.n == len(_bfs(reverse, 1))
 
 
+def distances(m: Model, a: int) -> dict[int, int]:
+    """Edge count of the shortest directed path from a to every
+    compartment it reaches (0 for a itself)."""
+    return _bfs(m.edges, a)
+
+
 def distance(m: Model, a: int, b: int) -> int | float:
     """Edge count of the shortest directed path a -> b.
 
     Returns 0 when a == b and ``math.inf`` when b is unreachable from a
     (callers decide how to treat the unreachable case).
     """
-    return _bfs(m.edges, a).get(b, math.inf)
+    return distances(m, a).get(b, math.inf)
 
 
 def inductively_strong_order(m: Model, root: int) -> tuple[int, ...] | None:

@@ -22,8 +22,8 @@ dense representation is the right shape (the parameter monomials stay
 sparse).
 
 ``FieldPoint`` assigns every parameter a nonzero residue modulo a large
-prime; evaluating polynomials at such points drives the generic-rank
-computation.
+prime; the generic-rank computation evaluates the compartmental matrix at
+such points.
 """
 
 from __future__ import annotations
@@ -149,14 +149,6 @@ class Poly:
         res.terms = out
         return res
 
-    def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
     def scale(self, c: int) -> "Poly":
         if c == 0:
             return Poly()
@@ -183,49 +175,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return all(m == () for m in self.terms)
-
-    def constant_value(self) -> int:
-        """The constant term (the whole value if is_constant())."""
-        return self.terms.get((), 0)
-
-    def params(self) -> set[Param]:
-        out: set[Param] = set()
-        for m in self.terms:
-            for p, _ in m:
-                out.add(p)
-        return out
-
-    def coefficients(self) -> list[int]:
-        return list(self.terms.values())
-
-    # -- calculus and evaluation ----------------------------------------
-    def derivative(self, param: Param) -> "Poly":
-        """Formal partial derivative with respect to one parameter."""
-        out: dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            for idx, (p, e) in enumerate(m):
-                if p != param:
-                    continue
-                if e == 1:
-                    dm = m[:idx] + m[idx + 1:]
-                else:
-                    dm = m[:idx] + ((p, e - 1),) + m[idx + 1:]
-                out[dm] = out.get(dm, 0) + c * e
-                break
-        return Poly(out)
-
-    def eval_mod(self, point: "FieldPoint") -> int:
-        """Evaluate at a field point; raises KeyError on unassigned params."""
-        p = point.prime
-        total = 0
-        values = point.values
-        for m, c in self.terms.items():
-            t = c % p
-            for par, e in m:
-                v = values[par]
-                t = t * (v if e == 1 else pow(v, e, p)) % p
-            total = (total + t) % p
-        return total
 
     # -- canonical text --------------------------------------------------
     def text(self) -> str:

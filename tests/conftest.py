@@ -12,15 +12,20 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Tuple
 
 import pytest
 
-from compident.forests import forest_sums_by_size, lhs_coefficients, rhs_coefficients
+from compident.forests import _iter_forests, forest_sums_by_size, \
+    lhs_coefficients, rhs_coefficients
 from compident.graphs import AuxGraph, flip_into_leak
-from compident.identify import RankReport, TrialResult, _jacobian_at
+from compident.identify import RankReport, TrialResult, _Point
 from compident.model import Model
-from compident.poly import PRIMES, FieldPoint, LambdaPoly, Param, Poly, param_name
+from compident.poly import PRIMES, FieldPoint, LambdaPoly, Monomial, Param, \
+    Poly, param_name
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -93,6 +98,68 @@ def undirected_components(g: AuxGraph, edge_indices) -> list[set[int]]:
     for v in g.nodes:
         groups.setdefault(find(v), set()).add(v)
     return list(groups.values())
+
+
+# ---------------------------------------------------------------------
+# forest listing: the package's depth-first enumeration, one forest at a
+# time, for the tests that inspect individual forests
+
+
+@dataclass(frozen=True)
+class Forest:
+    """A spanning incoming forest, stored as edge positions in its host.
+
+    Positional edge identity keeps parallel edges of a multigraph host
+    distinct even when they join the same pair of nodes.
+    """
+
+    host: AuxGraph
+    edge_indices: tuple[int, ...]
+
+    def edge_count(self) -> int:
+        return len(self.edge_indices)
+
+    def labels(self):
+        return [self.host.edges[k][2] for k in self.edge_indices]
+
+
+@dataclass(frozen=True)
+class ForestQuery:
+    """Forests of ``host`` with ``edge_count`` edges; optionally restricted
+    to those whose underlying undirected graph puts ``same_component[0]``
+    and ``same_component[1]`` in one component."""
+
+    host: AuxGraph
+    edge_count: int
+    same_component: Optional[Tuple[int, int]] = None
+
+    def __post_init__(self):
+        if self.edge_count < 0:
+            raise ValueError("edge_count must be >= 0")
+        if self.same_component is not None:
+            nodes = set(self.host.nodes)
+            for v in self.same_component:
+                if v not in nodes:
+                    raise ValueError(f"node {v} not in host graph")
+
+
+def enumerate_forests(query: ForestQuery) -> list[Forest]:
+    """All forests matching the query, in the package's enumeration order."""
+    g = query.host
+    out: list[Forest] = []
+    pair = query.same_component
+    for chosen, dsu in _iter_forests(g):
+        if len(chosen) != query.edge_count:
+            continue
+        if pair is not None and dsu.find(pair[0]) != dsu.find(pair[1]):
+            continue
+        out.append(Forest(g, tuple(sorted(chosen))))
+    return out
+
+
+def productivity(f: Forest) -> Poly:
+    """Product of the forest's edge labels; 1 for the edgeless forest."""
+    return Poly.monomial(f.labels())
 
 
 # ---------------------------------------------------------------------
@@ -201,6 +268,75 @@ def rank_mod(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def _poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _quotient_mod(num, c, p: int) -> tuple[list[int], list[int]]:
+    """Long division of num by the monic c, coefficients by ascending
+    power of lambda, mod p: returns (quotient, remainder)."""
+    n = len(c) - 1
+    rem = [x % p for x in num]
+    q = [0] * max(len(rem) - n, 0)
+    for t in range(len(q) - 1, -1, -1):
+        qt = q[t] = rem[t + n]
+        for s, cs in enumerate(c):
+            rem[t + s] = (rem[t + s] - qt * cs) % p
+    return q, rem[:n]
+
+
+def _adjugate_partials_at(cm, point, full: bool) -> list[list[int]]:
+    """Jacobian-shaped rows at the point, mod its prime.
+
+    A left-side row holds the partials of c.  The right-side row of
+    ``d_k`` holds, per parameter, coefficient k of Q(u d - w v) when
+    ``full`` (the Jacobi identity's whole numerator, whose division by c
+    is checked to be exact) and of Q(u d) alone otherwise, with u, d, w
+    and v as in ``identify._Point.rows`` and Q the quotient by the monic c.
+    """
+    p = point.prime
+    at = _Point(cm.model.n, cm.params, point)
+    adj, c, cols, lhs = at.adj, at.c, at.cols, at.lhs
+    rows = []
+    for (out, inp, k) in cm.coeffs:
+        if inp is None:
+            rows.append([u[k] for u in lhs])
+            continue
+        d = adj[out - 1][inp - 1]
+        row = []
+        for u, (i, j) in zip(lhs, cols):
+            num = _poly_mul(u, d)
+            if full:
+                row_o = adj[out - 1]
+                v = row_o[j] if i is None else \
+                    [a - b for a, b in zip(row_o[j], row_o[i])]
+                wv = _poly_mul(adj[j][inp - 1], v)
+                num = [a - b for a, b in zip(num, wv)]
+            q, rem = _quotient_mod(num, c, p)
+            assert not full or not any(rem), "the Jacobi quotient is not exact"
+            row.append(q[k] if k < len(q) else 0)
+        rows.append(row)
+    return rows
+
+
+def jacobian_at(cm, point) -> list[list[int]]:
+    """The Jacobian of the coefficient map at the point, mod its prime,
+    from the full numerator of the Jacobi identity."""
+    return _adjugate_partials_at(cm, point, full=True)
+
+
+def left_span_rows(cm, point) -> list[list[int]]:
+    """The part of each Jacobian row that ``identify._Point.rows`` leaves out:
+    Q(u d) for a right-side row, which lies in the left-side span, and
+    zero for a left-side row."""
+    return [[0] * len(row) if inp is None else row for (_o, inp, _k), row
+            in zip(cm.coeffs, _adjugate_partials_at(cm, point, full=False))]
+
+
 def reference_generic_rank(cm, trials: int, seed: int):
     """The generic-rank trial loop of one map on its own: the Jacobian
     built from scratch at each trial's point and ranked by :func:`rank_mod`,
@@ -210,7 +346,7 @@ def reference_generic_rank(cm, trials: int, seed: int):
     for t in range(trials):
         prime = PRIMES[t % len(PRIMES)]
         point = FieldPoint.random(cm.params, prime, random.Random(seed + t))
-        r = rank_mod(_jacobian_at(cm, point), prime)
+        r = rank_mod(jacobian_at(cm, point), prime)
         results.append(TrialResult(prime, seed + t, r))
         best = max(best, r)
         if best == cap:
@@ -432,11 +568,49 @@ def to_dot(g: AuxGraph, name: str = "aux") -> str:
 
 
 def partial_derivative(poly: Poly, param: Param) -> Poly:
-    return poly.derivative(param)
+    """Formal partial derivative with respect to one parameter."""
+    out: dict[Monomial, int] = {}
+    for m, c in poly.terms.items():
+        for idx, (p, e) in enumerate(m):
+            if p != param:
+                continue
+            if e == 1:
+                dm = m[:idx] + m[idx + 1:]
+            else:
+                dm = m[:idx] + ((p, e - 1),) + m[idx + 1:]
+            out[dm] = out.get(dm, 0) + c * e
+            break
+    return Poly(out)
 
 
 def eval_mod(poly: Poly, point: FieldPoint) -> int:
-    return poly.eval_mod(point)
+    """Evaluate at a field point; raises KeyError on unassigned params."""
+    p = point.prime
+    total = 0
+    for m, c in poly.terms.items():
+        t = c % p
+        for par, e in m:
+            v = point.values[par]
+            t = t * (v if e == 1 else pow(v, e, p)) % p
+        total = (total + t) % p
+    return total
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` wherever a compident module binds it; the
+    returned list gets one entry (the arguments) per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "compident" \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------

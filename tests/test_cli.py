@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from compident import cli, identify
+from compident import cli, identify, model
 from compident.cli import (
     EXIT_INVALID_MODEL,
     EXIT_OK,
@@ -22,7 +23,7 @@ from compident.identify import (IDENTIFIABLE, UNIDENTIFIABLE, Verdict,
                                 coefficient_map, generic_rank)
 from compident.model import load_model
 
-from conftest import FIXTURES_DIR, reference_text
+from conftest import FIXTURES_DIR, count_calls, reference_text
 
 with open(os.path.join(FIXTURES_DIR, "manifest.json")) as fh:
     MANIFEST = json.load(fh)
@@ -55,6 +56,22 @@ def test_analyze_catenary_leak_json(capsys, fixtures_dir):
     assert doc["verdict"] == "identifiable"
     assert doc["method"] == "tree_theorem"
     assert doc["expected_dimension"]["has_expected_dimension"] is True
+
+
+@pytest.mark.parametrize("name,search,most", [
+    ("cat3_leak1", "is_strongly_connected", 2),
+    ("k3_leak", "distance", 1),
+])
+def test_analyze_repeats_no_graph_search(monkeypatch, capsys, fixtures_dir,
+                                         name, search, most):
+    # a tree verdict checks strong connectivity once for the pipeline and
+    # once for the count law; a firing count criterion reads its distance
+    # off the count, and the map layout searches by its own BFS
+    calls = count_calls(monkeypatch, model, search)
+    code, _, _ = run_cli(capsys, "analyze", "--json",
+                         fixture(fixtures_dir, name))
+    assert code == EXIT_OK
+    assert len(calls) <= most, calls
 
 
 def test_analyze_force_rank(capsys, fixtures_dir):
@@ -282,6 +299,33 @@ def test_sweep_trees_evaluates_one_adjugate_per_tree_and_leak_set(
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
     assert len(calls) == 203
+
+
+def test_sweep_trees_lays_out_each_group_once(monkeypatch, capsys):
+    # per (tree, leak set) group: one left-side Tarjan pass, one per
+    # output and one search per input, not two passes and one search per
+    # model; for n <= 4 that is 203 groups of n^2 models.  Classifying
+    # each model adds two searches: the tree test and the distance.
+    groups = {1: 2, 2: 4, 3: 21, 4: 176}
+    tarjan = count_calls(monkeypatch, identify, "_terminal_components")
+    searches = count_calls(monkeypatch, model, "distances")
+    code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
+    assert code == EXIT_OK and json.loads(out)["models"] == 3023
+    assert len(tarjan) == sum((1 + n) * g for n, g in groups.items()) == 980
+    assert len(searches) == sum(n * g for n, g in groups.items()) + 2 * 3023
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (1, "808ef4c19549c42b67f6c63986eaee1b67de43084e7e80a2afdf1cc534664941"),
+    (7, "af05477d7ea371616cae7b8cbf8ab9b90a2cc4a75b6819527c8cc948a28c1d91"),
+])
+def test_sweep_trees_json_is_pinned(capsys, seed, digest):
+    # digests of the output before the map layouts were built per group
+    # and the right-side rows reduced modulo the left-side span
+    code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json",
+                           "--seed", str(seed))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sweep_trees_rejects_huge_n(capsys):

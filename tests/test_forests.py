@@ -12,22 +12,19 @@ from compident.families import (
     reference_models,
 )
 from compident.forests import (
-    Forest,
-    ForestQuery,
     _iter_forests,
-    enumerate_forests,
     forest_sums_by_size,
     lhs_coefficients,
     nonconstant_counts,
-    productivity,
     rhs_coefficients,
 )
 from compident.graphs import AuxGraph, flip_into_leak, leak_augmented, strip_outgoing
 from compident.model import distance
 from compident.poly import Poly
 
-from conftest import (brute_force_forests, mk, rhs_coefficients_multigraph,
-                      undirected_components)
+from conftest import (Forest, ForestQuery, brute_force_forests,
+                      enumerate_forests, mk, productivity,
+                      rhs_coefficients_multigraph, undirected_components)
 
 FIG1 = reference_models()["k3_leak"]
 
@@ -280,7 +277,7 @@ def test_all_forest_coefficients_are_plus_one():
         for i in m.compartments():
             polys += forest_sums_by_size(flip_into_leak(m, i))
         for poly in polys:
-            assert all(c == 1 for c in poly.coefficients())
+            assert all(c == 1 for c in poly.terms.values())
 
 
 # -- counting law ------------------------------------------------------------

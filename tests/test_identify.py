@@ -27,10 +27,11 @@ from compident.identify import (
     UNIDENTIFIABLE,
     NoInputError,
     NotStronglyConnectedError,
+    _Point,
     _echelon,
-    _jacobian_at,
     classify_tree,
     coefficient_map,
+    coefficient_maps,
     count_criterion,
     decide_identifiability,
     expected_dimension,
@@ -39,12 +40,15 @@ from compident.identify import (
     isc_sufficiency,
     verdict_to_dict,
 )
+from compident import model as model_module
 from compident.model import Model, distance, model_to_dict
 from compident.poly import PRIMES, FieldPoint, Poly
 
-from conftest import (all_digraphs, closure_strongly_connected, eval_mod, mk,
-                      rank_mod, rational_generic_rank, reference_generic_rank,
-                      symbolic_jacobian_mod_point, symbolic_labels)
+from conftest import (all_digraphs, closure_strongly_connected, count_calls,
+                      eval_mod, jacobian_at, left_span_rows, mk,
+                      partial_derivative, rank_mod, rational_generic_rank,
+                      reference_generic_rank, symbolic_jacobian_mod_point,
+                      symbolic_labels)
 
 REF = reference_models()
 FIG1 = REF["k3_leak"]
@@ -71,6 +75,50 @@ def test_coefficient_map_requires_inputs():
         coefficient_map(mk(2, [(1, 2), (2, 1)], [], [1]))
 
 
+def _tree_groups(max_n):
+    """Every (tree, leak set) with n <= max_n and at most two leaks, as the
+    n^2 single-input, single-output models on it."""
+    for n in range(1, max_n + 1):
+        for und in labeled_trees(n):
+            for size in (0, 1, 2):
+                for leaks in itertools.combinations(range(1, n + 1), size):
+                    yield [bidirectional_tree_model(n, und, [i], [o], leaks)
+                           for i in range(1, n + 1) for o in range(1, n + 1)]
+
+
+def test_coefficient_maps_equal_one_map_at_a_time():
+    groups = 0
+    for models in _tree_groups(4):
+        assert coefficient_maps(models) == [coefficient_map(m) for m in models]
+        groups += 1
+    assert groups == 203
+    # graphs that are not trees, some not strongly connected, with several
+    # inputs and outputs and placements that cannot reach an output
+    rng = random.Random(73)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        edges = [e for e in itertools.permutations(range(1, n + 1), 2)
+                 if rng.random() < 0.35]
+        leaks = rng.sample(range(1, n + 1), rng.randrange(0, min(n, 3) + 1))
+        places = [(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)),
+                   rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
+                  for _ in range(rng.randrange(1, 6))]
+        models = [mk(n, edges, ins, outs, leaks) for ins, outs in places]
+        assert coefficient_maps(models) == [coefficient_map(m) for m in models]
+    assert coefficient_maps([]) == []
+
+
+def test_coefficient_maps_rejects_mixed_groups_and_missing_inputs():
+    base = mk(3, [(1, 2), (2, 3), (3, 1)], [1], [2], [1])
+    for other in (mk(3, [(1, 2), (2, 3), (3, 1), (1, 3)], [1], [2], [1]),
+                  mk(3, [(1, 2), (2, 3), (3, 1)], [1], [2], [2]),
+                  mk(4, [(1, 2), (2, 3), (3, 1)], [1], [2], [1])):
+        with pytest.raises(ValueError, match="must share"):
+            coefficient_maps([base, other])
+    with pytest.raises(NoInputError):
+        coefficient_maps([base, mk(3, [(1, 2), (2, 3), (3, 1)], [], [2], [1])])
+
+
 def test_coefficient_map_length_matches_count_law():
     from compident.forests import nonconstant_counts
     rng = random.Random(60)
@@ -90,7 +138,8 @@ def test_jacobian_fast_path_equals_formal_derivatives():
         fast = symbolic_jacobian_mod_point(cm.entries, cm.params, point)
         for i, entry in enumerate(cm.entries):
             for j, par in enumerate(cm.params):
-                assert fast[i][j] == eval_mod(entry.derivative(par), point)
+                assert fast[i][j] == eval_mod(partial_derivative(entry, par),
+                                              point)
 
 
 def test_jacobian_fast_path_with_higher_exponents():
@@ -99,22 +148,28 @@ def test_jacobian_fast_path_with_higher_exponents():
     rng = random.Random(0)
     point = FieldPoint.random((x, y), PRIMES[0], rng)
     fast = symbolic_jacobian_mod_point((f,), (x, y), point)
-    assert fast[0][0] == eval_mod(f.derivative(x), point)
-    assert fast[0][1] == eval_mod(f.derivative(y), point)
+    assert fast[0][0] == eval_mod(partial_derivative(f, x), point)
+    assert fast[0][1] == eval_mod(partial_derivative(f, y), point)
 
 
 # -- adjugate route against the symbolic oracle ---------------------------------
 
 def _assert_matches_oracle(m, seed=DEFAULT_SEED):
-    """Equal labels (hence m), equal Jacobians at each trial's point and
-    prime, and generic_rank's per-trial ranks equal to the oracle's."""
+    """Equal labels (hence m); at each trial's point and prime, the full
+    Jacobian equal to the oracle's, and each of the package's rows plus
+    its left-span part (zero on the left side) equal to the oracle's row;
+    and generic_rank's per-trial ranks equal to the oracle's."""
     cm = coefficient_map(m)
     assert cm.labels == symbolic_labels(m), model_to_dict(m)
     oracle_ranks = []
     for t, prime in enumerate(PRIMES):
         point = FieldPoint.random(cm.params, prime, random.Random(seed + t))
         oracle = symbolic_jacobian_mod_point(cm.entries, cm.params, point)
-        assert _jacobian_at(cm, point) == oracle, (model_to_dict(m), t)
+        assert jacobian_at(cm, point) == oracle, (model_to_dict(m), t)
+        rows = _Point(m.n, cm.params, point).rows(cm.coeffs)
+        restored = [[(a + b) % prime for a, b in zip(row, span)] for row, span
+                    in zip(rows, left_span_rows(cm, point))]
+        assert restored == oracle, (model_to_dict(m), t)
         oracle_ranks.append(rank_mod(oracle, prime))
     trials = generic_rank(cm, trials=len(PRIMES), seed=seed).trials
     assert [t.rank for t in trials] == oracle_ranks[:len(trials)]
@@ -223,14 +278,9 @@ def _placements(n, edges, leaks, io_sets):
 
 def test_generic_ranks_every_tree_placement():
     groups = 0
-    for n in (1, 2, 3, 4):
-        single = [([i], [o]) for i in range(1, n + 1) for o in range(1, n + 1)]
-        for und in labeled_trees(n):
-            edges = [e for (u, v) in und for e in ((u, v), (v, u))]
-            for size in (0, 1, 2):
-                for leaks in itertools.combinations(range(1, n + 1), size):
-                    _assert_group_matches(_placements(n, edges, leaks, single))
-                    groups += 1
+    for models in _tree_groups(4):
+        _assert_group_matches([coefficient_map(m) for m in models])
+        groups += 1
     assert groups == 203
 
 
@@ -373,6 +423,19 @@ def test_count_criterion_bound_is_the_coefficient_count():
         assert fired == {"case": case, "params": m.param_count(), "bound": bound,
                          "distance": length, "leaks": len(m.leaks)}
         assert bound == cm.m
+
+
+def test_firing_count_criterion_searches_at_most_once(monkeypatch):
+    # input = output needs no distance; a split one is read off the count
+    # law's own search
+    for m in (FIG1, bidirectional_cycle(4, [1], [2]),
+              bidirectional_cycle(5, [1], [3], [2])):
+        calls = count_calls(monkeypatch, model_module, "distance")
+        fired = count_criterion(m)
+        assert fired is not None and len(calls) <= 1
+        (inp,), (out,) = m.inputs, m.outputs
+        monkeypatch.undo()
+        assert fired["distance"] == distance(m, inp, out)
 
 
 def test_count_criterion_fire_implies_rank_unidentifiable():
