@@ -62,6 +62,7 @@ from .identify import (
     generic_rank,
     generic_ranks,
     isc_sufficiency,
+    tree_identifiable,
     verdict_to_dict,
 )
 from .model import (
@@ -87,6 +88,7 @@ from .poly import (
 )
 from .transforms import (
     Transform,
+    TransformError,
     TransformResult,
     add_leaf_edge,
     add_leaf_move_input,

@@ -26,20 +26,22 @@ from .graphs import flip_into_leak, strip_outgoing
 from .identify import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    IDENTIFIABLE,
     NoInputError,
+    NotATreeError,
     NotStronglyConnectedError,
-    classify_tree,
     coefficient_maps,
     decide_identifiability,
     expected_dimension,
     generic_ranks,
+    tree_identifiable,
     verdict_to_dict,
 )
-from .model import Model, ModelValidationError, distance, load_model, model_to_dict
+from .model import Model, ModelValidationError, distance, distances, \
+    load_model, model_to_dict
 from .poly import Poly
-from .transforms import ALL_KINDS, RankRelationError, Transform, apply_transform, \
-    verify_rank_relation, KIND_ADD_LEAF_MOVE_IN, KIND_ADD_LEAF_MOVE_OUT
+from .transforms import ALL_KINDS, AttachmentRequiredError, RankRelationError, \
+    Transform, TransformError, apply_transform, verify_rank_relation, \
+    KIND_ADD_LEAF_MOVE_IN, KIND_ADD_LEAF_MOVE_OUT
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,6 +56,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(obj, as_json: bool, text_lines):
@@ -125,8 +137,7 @@ def _equations_match(a: IoEquation, b: IoEquation) -> bool:
 def cmd_coeffs(args) -> int:
     m = load_model(args.model)
     if not m.inputs:
-        print("error: model has no inputs", file=sys.stderr)
-        return EXIT_INVALID_MODEL
+        raise NoInputError("model has no inputs")
     outputs = []
     lines = [f"model: {m.n} compartments, {m.param_count()} parameters"]
     for out in sorted(m.outputs):
@@ -205,14 +216,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_transform(args) -> int:
     m = load_model(args.model)
-    at = args.at
-    if at is None and args.op in (KIND_ADD_LEAF_MOVE_IN, KIND_ADD_LEAF_MOVE_OUT) \
-            and len(m.inputs) == 1 and m.inputs == m.outputs:
-        (at,) = m.inputs
-    if at is None:
+    try:
+        result = apply_transform(m, Transform(args.op, args.at))
+    except AttachmentRequiredError:
         print("error: --at is required for this operation", file=sys.stderr)
         return EXIT_USAGE
-    result = apply_transform(m, Transform(args.op, at))
     obj = {
         "model": model_to_dict(result.model),
         "guarantee": result.guarantee,
@@ -242,13 +250,14 @@ def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
 
     Iterates every labeled tree on up to max_n vertices, every input and
     output placement and every leak set of size at most 2, and compares
-    the rank verdict against the tree classifier (identifiable iff
-    distance <= 1 and leaks <= 1).  The n^2 placements of one tree and
-    leak set form one group: :func:`coefficient_maps` lays out their maps
-    from one set of graph facts, and :func:`generic_ranks` ranks them
-    together, evaluating each trial's point and adjugate once for all of
-    them.  Returns a summary dict with any disagreements (expected none),
-    listed by tree, input, output and leak set.
+    the rank verdict against the tree theorem (:func:`tree_identifiable`).
+    The n^2 placements of one tree and leak set form one group:
+    :func:`coefficient_maps` lays out their maps from one set of graph
+    facts, and :func:`generic_ranks` ranks them together, evaluating each
+    trial's point and adjugate once for all of them.  The tree test runs
+    once per tree and the distance search once per tree and input.
+    Returns a summary dict with any disagreements (expected none), listed
+    by tree, input, output and leak set.
     """
     per_n = {}
     disagreements = []
@@ -266,20 +275,25 @@ def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
                 reports = generic_ranks(cms, trials=trials, seed=seed)
                 for place, cm, report in zip(places, cms, reports):
                     ranked[place, leaks] = (cm, report.rank)
-            for (inp, out) in places:
-                for leaks in leak_sets:
-                    cm, rank = ranked[(inp, out), leaks]
-                    by_rank = rank == cm.p
-                    by_tree = classify_tree(cm.model).status == IDENTIFIABLE
-                    if by_rank != by_tree:
-                        disagreements.append({
-                            "n": n, "edges": sorted(und), "in": inp,
-                            "out": out, "leak": sorted(leaks),
-                            "rank": rank, "params": cm.p,
-                        })
-                    count += 1
-                    total += 1
-                    identifiable += by_rank
+            tree = cms[0].model
+            if not families.is_bidirectional_tree(tree):
+                raise NotATreeError(f"not a bidirectional tree: {sorted(und)}")
+            for inp in range(1, n + 1):
+                dist = distances(tree, inp)
+                for out in range(1, n + 1):
+                    for leaks in leak_sets:
+                        cm, rank = ranked[(inp, out), leaks]
+                        by_rank = rank == cm.p
+                        by_tree = tree_identifiable(dist[out], len(leaks))
+                        if by_rank != by_tree:
+                            disagreements.append({
+                                "n": n, "edges": sorted(und), "in": inp,
+                                "out": out, "leak": sorted(leaks),
+                                "rank": rank, "params": cm.p,
+                            })
+                        count += 1
+                        total += 1
+                        identifiable += by_rank
         per_n[str(n)] = count
     return {"max_n": max_n, "trials": trials, "seed": seed, "models": total,
             "identifiable": identifiable,
@@ -459,7 +473,7 @@ def build_parser() -> _Parser:
             p.add_argument("model", help="path to a model JSON file")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+        p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
                        help="random evaluation trials for rank computations")
 
     p = sub.add_parser("analyze", help="identifiability and expected dimension")
@@ -485,7 +499,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep-trees",
                        help="exhaustively validate the tree classification")
     common(p, with_model=False)
-    p.add_argument("--max-n", type=int, default=5, dest="max_n")
+    p.add_argument("--max-n", type=_positive_int, default=5, dest="max_n")
     p.set_defaults(func=cmd_sweep_trees)
 
     p = sub.add_parser("selftest", help="randomized identity cross-checks")
@@ -513,13 +527,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read model: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
+    except TransformError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_MODEL
     except (IdentityCheckError, RankRelationError) as exc:
         print(f"internal identity failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_MODEL
-    except Exception as exc:  # pragma: no cover - catch-all for exit contract
+    except Exception as exc:  # any other error, a ValueError too, is a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

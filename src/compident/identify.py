@@ -11,25 +11,26 @@ entry of ``adj(lambda*I - A)``, so the Jacobian is evaluated at a point
 straight from the matrix, with no polynomial ever expanded.  At the point
 the adjugate and the characteristic polynomial c come from
 Faddeev-LeVerrier (n - 1 sparse matrix products mod p).  Each parameter
-sits in one column of A, so the partials of c (the left-side rows) are
-differences of adjugate entries, and those of the adjugate follow from
-the Jacobi identity as the quotient by c of ``u d - w v``, where u is the
-parameter's partial of c and d the adjugate entry.  The quotient is
-linear, and ``u -> Q(u d)`` is one fixed map for every parameter, so the
-rows of ``Q(u d)`` are combinations of the left-side rows that every map
-ranks anyway.  A right-side row is therefore taken modulo the left-side
-span, as ``-Q(w v)`` alone: every rank is the same, and half the
-products go.  The remaining products and the division by c are products
-of polynomials packed into single integers.  A trial costs
-O(n^4 + k n^2) for k parameters.  The point, the adjugate at it and the
-left-side partials depend on the graph and the leaks alone, not on where
-inputs and outputs sit, so :func:`generic_ranks` evaluates them once per
-trial for a group of maps that differ only in placement, reduces the
-shared left-side rows to echelon form once, and has each map extend that
-basis with its own right-side rows; v is formed once per output and a
-row once per (output, input).  Which coefficients are non-constant is
-read off the graph (forest sizes, terminal components and the
-input-to-output distance) in O(n + e), once per group by
+sits in one column of A, so the partials of c (the left-side rows L) are
+differences of adjugate entries, and those of an adjugate entry follow
+from the Jacobi identity as the quotient by c of ``u d - w v``, where u
+is the parameter's partial of c and d the entry.  The rows of the
+quotient of ``u d`` lie in the span of L, and modulo that span the rows
+of a right-side block span what the same top coefficients of ``w v``
+span, so no division by c is made (:meth:`_Point.rows`).  With K a
+kernel basis of L, the rank is rank(L) + rank(N K) for the right-side
+rows N: L is reduced and K found once per trial, and each map ranks only
+its own N K, which has one row per right-side coefficient and one column
+per kernel vector, and which is formed by combining the products ``w v``,
+packed into single integers, with the entries of K before any
+coefficient is read.  No right-side row is reduced against L.  A trial
+of one map costs O(n^4 + k n^2) for k parameters.  The point, the
+adjugate at it, L and K depend on the graph and the leaks alone, not on
+where inputs and outputs sit, so :func:`generic_ranks` evaluates them
+once per trial for a group of maps that differ only in placement; v is
+packed once per output and w once per input.  Which coefficients are
+non-constant is read off the graph (forest sizes, terminal components
+and the input-to-output distance) in O(n + e), once per group by
 :func:`coefficient_maps`.  The forest polynomials themselves
 (:attr:`CoefficientMap.entries`) are only expanded on request.
 
@@ -55,6 +56,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .families import is_bidirectional_tree
@@ -339,20 +342,28 @@ class _Point:
     M = lambda*I - A, ``a_ij`` sits at M[i][j] as -a_ij and at M[j][j] as
     +a_ij (``a_0j`` only at M[j][j]), so ``c = det M`` is affine in it and
     ``dc/da_ij = adj_jj - adj_ji``.  None of this depends on where the
-    inputs and outputs sit, and the right-side partials are kept per
-    (output, input) for every map ranked at the point.
+    inputs and outputs sit.
 
-    Right-side partials are quotients by c of products of polynomials of
-    degree < n, formed as integer products.  A polynomial with
-    coefficients below 2^s is packed into one integer, coefficient k at
-    bit s*(n-1-k), so the product of two packed integers packs the
-    product of the reversed polynomials.  Reversed, the quotient of a
-    product of degree <= 2n-2 is its first n-1 coefficients times
-    1/rev(c) modulo x^(n-1).  Every coefficient on the way is below
-    n^2 p^3, so s = 3*bits(p) + 2*bits(n) keeps them apart.
+    ``left`` lists the orders k of the left-side coefficients ``c_k``
+    that the maps rank.  Their rows are reduced once: ``rank`` is their
+    rank and ``kernel`` a basis of their kernel, which multiplies every
+    right-side row (:meth:`rows`).  With no left rows the kernel basis is
+    the unit vectors, and :meth:`rows` gives the right-side rows
+    themselves.
+
+    Right-side rows come from products of polynomials of degree < n,
+    formed as integer products.  A polynomial is packed into one integer,
+    coefficient k at bit s*(n-1-k) for k >= 1, so the product of two
+    packings holds coefficient 2n-2-t of the polynomial product in slot
+    t; the constant terms only reach slots n-1 and above, which are never
+    read, and are left out.  A kernel vector combines the products of all
+    P parameters before any slot is read, so a slot sums at most n*P
+    products of three residues below p (a w, a v and a kernel entry), and
+    s = 3*bits(p) + bits(n*P) keeps the slots apart.
     """
 
-    def __init__(self, n: int, params: Sequence[Param], point: FieldPoint):
+    def __init__(self, n: int, params: Sequence[Param], point: FieldPoint,
+                 left: Sequence[int]):
         p, values = point.prime, point.values
         a_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         diag = [0] * n
@@ -364,70 +375,66 @@ class _Point:
         for j in range(n):
             a_rows[j].append((j, diag[j] % p))
         B, c = _adjugate(a_rows, p)
-        self.p, self.c = p, c
+        self.p, self.c, self.n = p, c, n
         self.adj = [list(zip(*(Bk[a] for Bk in B))) for a in range(n)]
         self.cols = [(i - 1 if i else None, j - 1) for (i, j) in params]
         self.lhs = [_diff(self.adj[j], j, i, p) for (i, j) in self.cols]
-        s = self._slot = 3 * p.bit_length() + 2 * n.bit_length()
-        self._mask = (1 << (s * (n - 1))) - 1
-        inverse = [1] + [0] * (n - 2)          # 1/rev(c) mod x^(n-1)
-        for t in range(1, n - 1):
-            inverse[t] = -sum(c[n - a] * inverse[t - a]
-                              for a in range(1, t + 1)) % p
-        self._inverse = _pack(inverse[::-1], s)
+        self.rank, self.kernel = _kernel(
+            [[du[k] for du in self.lhs] for k in left], len(params), p)
+        self._slot = 3 * p.bit_length() + (n * len(params)).bit_length()
         self._v: dict[int, list[int]] = {}
         self._w: dict[int, list[int]] = {}
-        self._quotients: dict[tuple[int, int], list[int]] = {}
 
-    def rows(self, coeffs: Sequence[tuple[int, Optional[int], int]]
-             ) -> list[list[int]]:
-        """The Jacobian rows of the coefficients, each right-side row
-        reduced modulo the span of the left-side rows.
+    def rows(self, coeffs: Sequence[tuple[int, int, int]]) -> list[list[int]]:
+        """The right-side rows of the coefficients times the kernel basis:
+        per coefficient, one entry per kernel vector.
 
         With u = dc/da_ij, d = adj(M)[out][in], w = adj_j,in and
         v = adj_out,j - adj_out,i (adj_out,j alone for a leak), the Jacobi
         identity ``d adj_ab / d M_rc = (adj_cr adj_ab - adj_ar adj_cb) / c``
         gives ``dd/da_ij = Q(u d) - Q(w v)``, where Q takes the quotient of
-        the division by the monic c.  Q is linear, so the coefficients of
-        ``Q(u d)`` are, for every parameter alike, one fixed combination
-        of the coefficients of u: the rows of ``Q(u d)`` lie in the span
-        of the left-side rows (a constant ``c_k`` has a zero row), which
-        every map ranks too.  Dropping them changes no rank, so a
-        right-side row is that of ``-Q(w v)``: half the products of the
-        full numerator, and d is never read.
+        the division by the monic c.  Q is linear, so the rows of ``Q(u d)``
+        are, for every parameter alike, fixed combinations of the rows of
+        u: they lie in the span of the left-side rows (a constant ``c_k``
+        has a zero row).  Reversed, Q is multiplication by 1/rev(c) mod
+        x^(n-1): with rows counted by t = n-2-k, row t of ``Q(w v)`` is row
+        t of the top coefficients of ``w v`` plus multiples of its rows
+        before t.  A block of ``d_k`` starts at t0 = max(dist, 1) - 1 and
+        the Jacobian rows before it are zero, so rows 0..t0-1 of ``w v``
+        lie in the left span, and modulo that span the kept rows of the
+        quotient span what the same rows of ``w v`` span: no division by
+        c is needed.  Modulo the left span a row x is known by x K, so an
+        entry is slot t of ``sum_ij K_ij w v`` for one kernel vector K.
         """
-        p, s = self.p, self._slot
-        top = len(self.adj) - 2                 # Q's degree bound
-        slot_mask = (1 << s) - 1
+        p, s, top = self.p, self._slot, self.n - 2
+        mask = (1 << s) - 1
         rows = []
+        pair = None
         for (out, inp, k) in coeffs:
-            if inp is None:
-                rows.append([du[k] for du in self.lhs])
-                continue
-            quotients = self._quotients.get((out, inp))
-            if quotients is None:
-                quotients = self._quotients[(out, inp)] = \
-                    self._pair_quotients(out - 1, inp - 1)
+            if (out, inp) != pair:
+                pair = (out, inp)
+                products = self._products(out - 1, inp - 1)
+                sums = [sum(map(mul, vec.values(),
+                                map(products.__getitem__, vec)))
+                        for vec in self.kernel]
             shift = s * (top - k)
-            rows.append([-((q >> shift) & slot_mask) % p for q in quotients])
+            rows.append([(x >> shift & mask) % p for x in sums])
         return rows
 
-    def _pair_quotients(self, out: int, inp: int) -> list[int]:
-        """Q(w v) of every parameter, packed and reversed: coefficient k
-        at bit s*(n-2-k).  v is packed once per output, w once per input."""
+    def _products(self, out: int, inp: int) -> list[int]:
+        """``w v`` of every parameter, packed; v is packed once per output,
+        w once per input."""
         adj, p, s = self.adj, self.p, self._slot
         vs = self._v.get(out)
         if vs is None:
             row_o = adj[out]
-            vs = self._v[out] = [_pack(_diff(row_o, j, i, p), s)
+            vs = self._v[out] = [_pack(_diff(row_o, j, i, p)[1:], s)
                                  for (i, j) in self.cols]
         ws = self._w.get(inp)
         if ws is None:
-            ws = self._w[inp] = [_pack(adj[j][inp], s)
+            ws = self._w[inp] = [_pack(adj[j][inp][1:], s)
                                  for j in range(len(adj))]
-        mask, inverse = self._mask, self._inverse
-        return [((ws[j] * v) & mask) * inverse & mask
-                for v, (_i, j) in zip(vs, self.cols)]
+        return [ws[j] * v for v, (_i, j) in zip(vs, self.cols)]
 
 
 def _pack(poly: Sequence[int], s: int) -> int:
@@ -438,28 +445,63 @@ def _pack(poly: Sequence[int], s: int) -> int:
     return x
 
 
-def _echelon(basis: list[tuple[int, int, list[int]]], rows: list[list[int]],
-             p: int) -> list[tuple[int, int, list[int]]]:
-    """An echelon basis over the prime field, extended by rows.
+def _echelon(rows: list[list[int]], p: int) -> list[tuple[int, list[int]]]:
+    """An echelon basis of the rows over the prime field.
 
-    Entries lie in [0, p).  The basis lists ``(pivot column, pivot value,
-    row)`` in insertion order; each row is zero at the pivot columns of
-    the rows before it, so one pass reduces a new row at every pivot.  A
-    row is scaled by the pivot instead of divided by it, so no modular
-    inverse is needed.  The rank of the rows so far is the basis length.
-    The given basis is left as it was.
+    Entries lie in [0, p).  Returns ``(pivot column, row)`` pairs in
+    insertion order; each row is zero at the pivot columns of the rows
+    before it, so one pass reduces a new row at every pivot.  A row is
+    scaled by the pivot instead of divided by it, so no modular inverse
+    is needed.  The rank of the rows is the basis length.
     """
-    basis = list(basis)
+    basis: list[tuple[int, list[int]]] = []
     for r in rows:
-        for c, pv, b in basis:
+        for c, b in basis:
             f = r[c]
             if f:
+                pv = b[c]
                 r = [(pv * x - f * y) % p for x, y in zip(r, b)]
         for c, x in enumerate(r):
             if x:
-                basis.append((c, x, r))
+                basis.append((c, r))
                 break
     return basis
+
+
+def _kernel(rows: list[list[int]], width: int,
+            p: int) -> tuple[int, list[dict[int, int]]]:
+    """The rank of rows over the prime field and a basis of their kernel.
+
+    The echelon basis is reduced upwards, again by scaling, until every
+    row is zero at the other rows' pivots.  With pivot values g_i and
+    their product g, the vector for a free column f has g at f,
+    ``-row_i[f] * g / g_i`` at each row's pivot and 0 elsewhere.  Returns
+    the rank and one such vector per free column, in ascending order,
+    each as a dict from column to its nonzero entry: a vector has at most
+    rank + 1 of them, however wide the rows.
+    """
+    basis = _echelon(rows, p)
+    for k in range(len(basis) - 1, 0, -1):
+        c, b = basis[k]
+        pv = b[c]
+        for i in range(k):
+            ci, bi = basis[i]
+            f = bi[c]
+            if f:
+                basis[i] = (ci, [(pv * x - f * y) % p for x, y in zip(bi, b)])
+    pivots = [b[c] for c, b in basis]
+    g = prod(pivots) % p
+    others = [prod(pivots[:i] + pivots[i + 1:]) % p
+              for i in range(len(pivots))]
+    pivot_cols = {c for c, _b in basis}
+    kernel = []
+    for f in range(width):
+        if f not in pivot_cols:
+            vec = {c: -b[f] * other % p
+                   for (c, b), other in zip(basis, others) if b[f]}
+            vec[f] = g
+            kernel.append(vec)
+    return len(basis), kernel
 
 
 def generic_rank(cm: CoefficientMap, trials: int = DEFAULT_TRIALS,
@@ -484,10 +526,12 @@ def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
 
     The maps must share the compartment count, edges and leaks; they may
     place inputs and outputs anywhere.  A trial's point, the adjugate at
-    it and the left-side partials then serve every map, the right-side
-    partials serve every map with the same (output, input) pair, and only
-    the rank is per map.  Each map keeps its own
-    early stop, so every report equals that of ``generic_rank`` alone.
+    it, and the left-side rows with their rank and kernel basis K then
+    serve every map; v serves every map with the same output and w every
+    map with the same input.  A map's rank is rank(left) + rank(N K) for
+    its right-side rows N, and only N K is formed and ranked per map.
+    Each map keeps its own early stop, so every report equals that of
+    ``generic_rank`` alone.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -499,9 +543,9 @@ def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
         raise ValueError("maps must share compartments, edges and leaks")
     params = cms[0].params
     caps = [min(cm.p, cm.m) for cm in cms]
-    # A model has at least one output, so every map's left side is the
-    # same: its rows are reduced once per trial and each map extends them.
-    lhs_coeffs = [co for co in cms[0].coeffs if co[1] is None]
+    # A model has at least one output, and every output has the same left
+    # side, so the left rows and their kernel serve every map.
+    left = sorted({k for (_out, inp, k) in cms[0].coeffs if inp is None})
     rhs = [[co for co in cm.coeffs if co[1] is not None] for cm in cms]
     logs: list[list[TrialResult]] = [[] for _ in cms]
     best = [0] * len(cms)
@@ -512,10 +556,11 @@ def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
         prime = PRIMES[t % len(PRIMES)]
         trial_seed = seed + t
         point = FieldPoint.random(params, prime, random.Random(trial_seed))
-        at = _Point(model.n, params, point)
-        lhs = _echelon([], at.rows(lhs_coeffs), prime)
+        at = _Point(model.n, params, point, left)
         for k in live:
-            r = len(_echelon(lhs, at.rows(rhs[k]), prime))
+            r = at.rank
+            if at.kernel:           # else the left rows have full rank
+                r += len(_echelon(at.rows(rhs[k]), prime))
             logs[k].append(TrialResult(prime, trial_seed, r))
             best[k] = max(best[k], r)
     return [RankReport(best[k], tuple(logs[k]), cm.p, cm.m)
@@ -546,13 +591,19 @@ def count_criterion(m: Model) -> Optional[dict]:
             "leaks": len(m.leaks)}
 
 
-def classify_tree(m: Model) -> Verdict:
-    """Bidirectional-tree classification (exact iff condition).
+def tree_identifiable(dist: int, leaks: int) -> bool:
+    """The tree theorem: a bidirectional tree model with one input and one
+    output is identifiable exactly when the input-to-output distance is
+    at most 1 and there is at most one leak."""
+    return dist <= 1 and leaks <= 1
 
-    A bidirectional tree model with one input and one output is
-    identifiable exactly when the input-to-output distance is at most 1
-    and there is at most one leak.  Raises :class:`NotATreeError` for any
-    other graph.
+
+def classify_tree(m: Model) -> Verdict:
+    """Bidirectional-tree classification (exact iff condition, see
+    :func:`tree_identifiable`).
+
+    Raises :class:`NotATreeError` for a graph that is not a bidirectional
+    tree.
     """
     if not is_bidirectional_tree(m):
         raise NotATreeError("model graph is not a bidirectional tree")
@@ -561,9 +612,9 @@ def classify_tree(m: Model) -> Verdict:
     (inp,) = m.inputs
     (out,) = m.outputs
     dist = int(distance(m, inp, out))
-    ok = dist <= 1 and len(m.leaks) <= 1
     return Verdict(
-        status=IDENTIFIABLE if ok else UNIDENTIFIABLE,
+        status=(IDENTIFIABLE if tree_identifiable(dist, len(m.leaks))
+                else UNIDENTIFIABLE),
         method=METHOD_TREE,
         rank_report=None,
         criteria={"distance": dist, "leaks": len(m.leaks)},

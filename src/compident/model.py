@@ -147,7 +147,7 @@ def parse_model(text: str) -> Model:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # a JSONDecodeError, or an int too long
         raise ModelValidationError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelValidationError("top level: expected a JSON object")
@@ -200,7 +200,11 @@ def serialize_model(m: Model) -> str:
 
 def load_model(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelValidationError(f"not UTF-8 text: {exc}") from exc
+    return parse_model(text)
 
 
 # ---------------------------------------------------------------------

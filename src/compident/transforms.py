@@ -42,14 +42,25 @@ ALL_KINDS = (KIND_ADD_LEAF, KIND_ADD_LEAF_MOVE_OUT, KIND_ADD_LEAF_MOVE_IN,
              KIND_ADD_LEAK, KIND_REMOVE_LEAK)
 
 
+class TransformError(ValueError):
+    """A transform request that does not fit the model it is applied to."""
+
+
+class AttachmentRequiredError(TransformError):
+    """The transform needs a compartment and none follows from the model."""
+
+
 @dataclass(frozen=True)
 class Transform:
+    """A rewrite and the compartment it applies to; ``at`` None means the
+    default of :func:`_attachment`."""
+
     kind: str
-    at: int
+    at: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
+            raise TransformError(f"unknown transform kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +71,21 @@ class TransformResult:
     details: dict
 
 
+def _attachment(m: Model, kind: str, at: Optional[int]) -> int:
+    """The compartment a transform applies to: ``at`` when given, else,
+    for a leaf move on a model whose one input is its one output, that
+    compartment.  Raises :class:`AttachmentRequiredError` otherwise."""
+    if at is None and kind in (KIND_ADD_LEAF_MOVE_OUT, KIND_ADD_LEAF_MOVE_IN) \
+            and len(m.inputs) == 1 and m.inputs == m.outputs:
+        (at,) = m.inputs
+    if at is None:
+        raise AttachmentRequiredError(f"{kind} needs an attachment compartment")
+    return at
+
+
 def _leaf_extended(m: Model, at: int) -> Model:
     if not (1 <= at <= m.n):
-        raise ValueError(f"compartment {at} out of range 1..{m.n}")
+        raise TransformError(f"compartment {at} out of range 1..{m.n}")
     new = m.n + 1
     return Model.create(m.n + 1, set(m.edges) | {(at, new), (new, at)},
                         m.inputs, m.outputs, m.leaks)
@@ -82,12 +105,8 @@ def add_leaf_edge(m: Model, at: int) -> TransformResult:
 
 
 def _add_leaf_move(m: Model, at: Optional[int], move: str) -> TransformResult:
-    if at is None:
-        if len(m.inputs) == 1 and m.inputs == m.outputs:
-            (at,) = m.inputs
-        else:
-            raise ValueError("attachment compartment required when input and "
-                             "output do not coincide")
+    kind = KIND_ADD_LEAF_MOVE_OUT if move == "output" else KIND_ADD_LEAF_MOVE_IN
+    at = _attachment(m, kind, at)
     extended = _leaf_extended(m, at)
     new = extended.n
     if move == "output":
@@ -118,9 +137,9 @@ def add_leaf_move_input(m: Model, at: Optional[int] = None) -> TransformResult:
 
 def add_leak(m: Model, at: int) -> TransformResult:
     if not (1 <= at <= m.n):
-        raise ValueError(f"compartment {at} out of range 1..{m.n}")
+        raise TransformError(f"compartment {at} out of range 1..{m.n}")
     if at in m.leaks:
-        raise ValueError(f"compartment {at} already leaks")
+        raise TransformError(f"compartment {at} already leaks")
     out = Model.create(m.n, m.edges, m.inputs, m.outputs, set(m.leaks) | {at})
     hypo = is_strongly_connected(m) and bool(m.inputs) and not m.leaks
     return TransformResult(
@@ -133,7 +152,7 @@ def add_leak(m: Model, at: int) -> TransformResult:
 
 def remove_leak(m: Model, at: int) -> TransformResult:
     if at not in m.leaks:
-        raise ValueError(f"compartment {at} has no leak to remove")
+        raise TransformError(f"compartment {at} has no leak to remove")
     out = Model.create(m.n, m.edges, m.inputs, m.outputs, set(m.leaks) - {at})
     hypo = (is_strongly_connected(m)
             and m.inputs == m.outputs == m.leaks == frozenset({at}))
@@ -146,15 +165,16 @@ def remove_leak(m: Model, at: int) -> TransformResult:
 
 
 def apply_transform(m: Model, t: Transform) -> TransformResult:
+    at = _attachment(m, t.kind, t.at)
     if t.kind == KIND_ADD_LEAF:
-        return add_leaf_edge(m, t.at)
+        return add_leaf_edge(m, at)
     if t.kind == KIND_ADD_LEAF_MOVE_OUT:
-        return add_leaf_move_output(m, t.at)
+        return add_leaf_move_output(m, at)
     if t.kind == KIND_ADD_LEAF_MOVE_IN:
-        return add_leaf_move_input(m, t.at)
+        return add_leaf_move_input(m, at)
     if t.kind == KIND_ADD_LEAK:
-        return add_leak(m, t.at)
-    return remove_leak(m, t.at)
+        return add_leak(m, at)
+    return remove_leak(m, at)
 
 
 class RankRelationError(AssertionError):
@@ -193,10 +213,10 @@ def verify_rank_relation(m: Model, t: Transform, *, trials: int | None = None,
     from .model import relabel
 
     if t.kind not in (KIND_ADD_LEAF_MOVE_OUT, KIND_ADD_LEAF_MOVE_IN):
-        raise ValueError("rank relation applies to leaf-move transforms only")
+        raise TransformError("rank relation applies to leaf-move transforms only")
     if m.leaks or not is_strongly_connected(m) \
             or not (m.inputs == m.outputs == frozenset({t.at})):
-        raise ValueError("rank relation requires a strongly connected leakless "
+        raise TransformError("rank relation requires a strongly connected leakless "
                          "model with input = output = {at}")
     trials = DEFAULT_TRIALS if trials is None else trials
     seed = DEFAULT_SEED if seed is None else seed

@@ -289,17 +289,17 @@ def _quotient_mod(num, c, p: int) -> tuple[list[int], list[int]]:
     return q, rem[:n]
 
 
-def _adjugate_partials_at(cm, point, full: bool) -> list[list[int]]:
-    """Jacobian-shaped rows at the point, mod its prime.
+def jacobian_at(cm, point) -> list[list[int]]:
+    """The Jacobian of the coefficient map at the point, mod its prime.
 
     A left-side row holds the partials of c.  The right-side row of
-    ``d_k`` holds, per parameter, coefficient k of Q(u d - w v) when
-    ``full`` (the Jacobi identity's whole numerator, whose division by c
-    is checked to be exact) and of Q(u d) alone otherwise, with u, d, w
-    and v as in ``identify._Point.rows`` and Q the quotient by the monic c.
+    ``d_k`` holds, per parameter, coefficient k of Q(u d - w v), the
+    Jacobi identity's whole numerator divided by the monic c by long
+    division, which is checked to be exact; u, d, w and v are as in
+    ``identify._Point.rows`` and Q is the quotient.
     """
     p = point.prime
-    at = _Point(cm.model.n, cm.params, point)
+    at = _Point(cm.model.n, cm.params, point, ())
     adj, c, cols, lhs = at.adj, at.c, at.cols, at.lhs
     rows = []
     for (out, inp, k) in cm.coeffs:
@@ -307,34 +307,18 @@ def _adjugate_partials_at(cm, point, full: bool) -> list[list[int]]:
             rows.append([u[k] for u in lhs])
             continue
         d = adj[out - 1][inp - 1]
+        row_o = adj[out - 1]
         row = []
         for u, (i, j) in zip(lhs, cols):
-            num = _poly_mul(u, d)
-            if full:
-                row_o = adj[out - 1]
-                v = row_o[j] if i is None else \
-                    [a - b for a, b in zip(row_o[j], row_o[i])]
-                wv = _poly_mul(adj[j][inp - 1], v)
-                num = [a - b for a, b in zip(num, wv)]
+            v = row_o[j] if i is None else \
+                [a - b for a, b in zip(row_o[j], row_o[i])]
+            num = [a - b for a, b in zip(_poly_mul(u, d),
+                                         _poly_mul(adj[j][inp - 1], v))]
             q, rem = _quotient_mod(num, c, p)
-            assert not full or not any(rem), "the Jacobi quotient is not exact"
+            assert not any(rem), "the Jacobi quotient is not exact"
             row.append(q[k] if k < len(q) else 0)
         rows.append(row)
     return rows
-
-
-def jacobian_at(cm, point) -> list[list[int]]:
-    """The Jacobian of the coefficient map at the point, mod its prime,
-    from the full numerator of the Jacobi identity."""
-    return _adjugate_partials_at(cm, point, full=True)
-
-
-def left_span_rows(cm, point) -> list[list[int]]:
-    """The part of each Jacobian row that ``identify._Point.rows`` leaves out:
-    Q(u d) for a right-side row, which lies in the left-side span, and
-    zero for a left-side row."""
-    return [[0] * len(row) if inp is None else row for (_o, inp, _k), row
-            in zip(cm.coeffs, _adjugate_partials_at(cm, point, full=False))]
 
 
 def reference_generic_rank(cm, trials: int, seed: int):

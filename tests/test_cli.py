@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 
 from compident import cli, identify, model
 from compident.cli import (
+    EXIT_INTERNAL,
     EXIT_INVALID_MODEL,
     EXIT_OK,
     EXIT_USAGE,
@@ -19,8 +21,7 @@ from compident.cli import (
 )
 from compident.determinant import io_equation
 from compident.families import bidirectional_tree_model, labeled_trees
-from compident.identify import (IDENTIFIABLE, UNIDENTIFIABLE, Verdict,
-                                coefficient_map, generic_rank)
+from compident.identify import coefficient_map, generic_rank
 from compident.model import load_model
 
 from conftest import FIXTURES_DIR, count_calls, reference_text
@@ -117,6 +118,85 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, "analyze")  # missing model argument
     assert code == EXIT_USAGE
+
+
+_USER_FILES = {
+    "bad.json": '{"compartments": 2, "edges": [], "in": [], "out": []}',
+    "notjson.json": '{"compartments": ',
+    "binary.json": b"\xff\xfe\x00model",
+    "open.json": '{"compartments": 2, "edges": [{"from": 1, "to": 2}], '
+                 '"in": [1], "out": [2], "leak": []}',
+    "noin.json": '{"compartments": 2, "edges": [{"from": 1, "to": 2}, '
+                 '{"from": 2, "to": 1}], "in": [], "out": [1], "leak": []}',
+}
+
+
+@pytest.mark.parametrize("argv,code,last", [
+    # usage errors: the last stderr line (argparse prints the usage first)
+    (["no-such-command"], EXIT_USAGE,
+     "error: argument command: invalid choice: 'no-such-command' .*"),
+    (["analyze"], EXIT_USAGE,
+     "error: the following arguments are required: model"),
+    (["analyze", "{fx}/k3_leak.json", "--trials", "0"], EXIT_USAGE,
+     "error: argument --trials: must be at least 1, got 0"),
+    (["analyze", "{fx}/k3_leak.json", "--trials", "two"], EXIT_USAGE,
+     "error: argument --trials: invalid int value: 'two'"),
+    (["selftest", "--trials", "-1"], EXIT_USAGE,
+     "error: argument --trials: must be at least 1, got -1"),
+    (["sweep-trees", "--max-n", "0"], EXIT_USAGE,
+     "error: argument --max-n: must be at least 1, got 0"),
+    (["sweep-trees", "--max-n", "7"], EXIT_USAGE,
+     "error: --max-n larger than 6 is not supported"),
+    (["transform", "--op", "add-leak", "{fx}/chorded_cycle3.json"], EXIT_USAGE,
+     "error: --at is required for this operation"),
+    (["transform", "--op", "add-leaf-move-out", "{fx}/cat2_in1_out2.json"],
+     EXIT_USAGE, "error: --at is required for this operation"),
+    # models that cannot be read, are malformed or are out of scope
+    (["analyze", "{tmp}/bad.json"], EXIT_INVALID_MODEL,
+     "invalid model: missing key 'leak'"),
+    (["analyze", "{tmp}/notjson.json"], EXIT_INVALID_MODEL,
+     "invalid model: not valid JSON: Expecting value: .*"),
+    (["coeffs", "{tmp}/binary.json"], EXIT_INVALID_MODEL,
+     "invalid model: not UTF-8 text: 'utf-8' codec can't decode .*"),
+    (["analyze", "{tmp}/missing.json"], EXIT_INVALID_MODEL,
+     "cannot read model: .*No such file or directory.*"),
+    (["analyze", "{tmp}"], EXIT_INVALID_MODEL,
+     "cannot read model: .*Is a directory.*"),
+    (["analyze", "{tmp}/open.json"], EXIT_INVALID_MODEL,
+     "model out of scope: identifiability verdicts are limited to strongly "
+     "connected models"),
+    (["analyze", "{tmp}/noin.json"], EXIT_INVALID_MODEL,
+     "model out of scope: model has no inputs"),
+    (["coeffs", "{tmp}/noin.json"], EXIT_INVALID_MODEL,
+     "model out of scope: model has no inputs"),
+    # transform requests that do not fit the model
+    (["transform", "--op", "add-leaf", "--at", "9", "{fx}/cat3_leak1.json"],
+     EXIT_INVALID_MODEL, "error: compartment 9 out of range 1..3"),
+    (["transform", "--op", "add-leak", "--at", "1", "{fx}/cat3_leak1.json"],
+     EXIT_INVALID_MODEL, "error: compartment 1 already leaks"),
+    (["transform", "--op", "remove-leak", "--at", "2", "{fx}/cat3_leak1.json"],
+     EXIT_INVALID_MODEL, "error: compartment 2 has no leak to remove"),
+])
+def test_user_errors_exit_with_a_reason(capsys, tmp_path, fixtures_dir, argv,
+                                        code, last):
+    for name, body in _USER_FILES.items():
+        (tmp_path / name).write_bytes(
+            body if isinstance(body, bytes) else body.encode())
+    argv = [a.format(tmp=tmp_path, fx=fixtures_dir) for a in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert re.fullmatch(last, err.splitlines()[-1]), err
+
+
+def test_other_value_errors_are_internal(monkeypatch, capsys, fixtures_dir):
+    # a ValueError that no input check raised is a bug, not a bad model
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "decide_identifiability", broken)
+    code, _, err = run_cli(capsys, "analyze", fixture(fixtures_dir, "k3_leak"))
+    assert code == EXIT_INTERNAL
+    assert err == "internal error: boom\n"
 
 
 # -- coeffs ------------------------------------------------------------------
@@ -272,12 +352,10 @@ def test_sweep_trees_disagreement_order(monkeypatch):
                                 "rank": generic_rank(cm, 3, 5).rank,
                                 "params": cm.p})
 
-    def inverted(m):
-        v = identify.classify_tree(m)
-        flipped = IDENTIFIABLE if v.status == UNIDENTIFIABLE else UNIDENTIFIABLE
-        return Verdict(flipped, v.method, None, v.criteria)
+    def inverted(dist, leaks):
+        return not identify.tree_identifiable(dist, leaks)
 
-    monkeypatch.setattr(cli, "classify_tree", inverted)
+    monkeypatch.setattr(cli, "tree_identifiable", inverted)
     swept = run_tree_sweep(3, 3, 5)
     assert swept["disagreements"] == expected
     assert {k: v for k, v in swept.items() if k != "disagreements"} == \
@@ -305,14 +383,17 @@ def test_sweep_trees_lays_out_each_group_once(monkeypatch, capsys):
     # per (tree, leak set) group: one left-side Tarjan pass, one per
     # output and one search per input, not two passes and one search per
     # model; for n <= 4 that is 203 groups of n^2 models.  Classifying
-    # each model adds two searches: the tree test and the distance.
+    # adds per tree one search for the tree test and one per input for
+    # the distances.
+    trees = {1: 1, 2: 1, 3: 3, 4: 16}
     groups = {1: 2, 2: 4, 3: 21, 4: 176}
     tarjan = count_calls(monkeypatch, identify, "_terminal_components")
     searches = count_calls(monkeypatch, model, "distances")
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
     assert len(tarjan) == sum((1 + n) * g for n, g in groups.items()) == 980
-    assert len(searches) == sum(n * g for n, g in groups.items()) + 2 * 3023
+    assert len(searches) == sum(n * g for n, g in groups.items()) \
+        + sum((1 + n) * t for n, t in trees.items()) == 874
 
 
 @pytest.mark.parametrize("seed,digest", [
@@ -326,6 +407,16 @@ def test_sweep_trees_json_is_pinned(capsys, seed, digest):
                            "--seed", str(seed))
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_trees_n5_json_is_pinned(capsys):
+    # digest of the output before the right-side rows were ranked against
+    # a kernel of the left rows and each tree was classified once
+    code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "5", "--trials",
+                           "1", "--json", "--seed", "7")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f1d18f09efacc6aa7c3169942ca87b7e0287c996380c8109ac86b02e6f2740b2"
 
 
 def test_sweep_trees_rejects_huge_n(capsys):

@@ -29,6 +29,7 @@ from compident.identify import (
     NotStronglyConnectedError,
     _Point,
     _echelon,
+    _kernel,
     classify_tree,
     coefficient_map,
     coefficient_maps,
@@ -45,7 +46,7 @@ from compident.model import Model, distance, model_to_dict
 from compident.poly import PRIMES, FieldPoint, Poly
 
 from conftest import (all_digraphs, closure_strongly_connected, count_calls,
-                      eval_mod, jacobian_at, left_span_rows, mk,
+                      eval_mod, jacobian_at, mk,
                       partial_derivative, rank_mod, rational_generic_rank,
                       reference_generic_rank, symbolic_jacobian_mod_point,
                       symbolic_labels)
@@ -156,9 +157,11 @@ def test_jacobian_fast_path_with_higher_exponents():
 
 def _assert_matches_oracle(m, seed=DEFAULT_SEED):
     """Equal labels (hence m); at each trial's point and prime, the full
-    Jacobian equal to the oracle's, and each of the package's rows plus
-    its left-span part (zero on the left side) equal to the oracle's row;
-    and generic_rank's per-trial ranks equal to the oracle's."""
+    Jacobian equal to the oracle's, and for each (output, input) pair one
+    package row per coefficient, spanning with the left-side rows what
+    the oracle's rows of the pair span with them: rank(left + package) =
+    rank(left + oracle) = rank(left + both); and generic_rank's per-trial
+    ranks equal to the oracle's."""
     cm = coefficient_map(m)
     assert cm.labels == symbolic_labels(m), model_to_dict(m)
     oracle_ranks = []
@@ -166,10 +169,20 @@ def _assert_matches_oracle(m, seed=DEFAULT_SEED):
         point = FieldPoint.random(cm.params, prime, random.Random(seed + t))
         oracle = symbolic_jacobian_mod_point(cm.entries, cm.params, point)
         assert jacobian_at(cm, point) == oracle, (model_to_dict(m), t)
-        rows = _Point(m.n, cm.params, point).rows(cm.coeffs)
-        restored = [[(a + b) % prime for a, b in zip(row, span)] for row, span
-                    in zip(rows, left_span_rows(cm, point))]
-        assert restored == oracle, (model_to_dict(m), t)
+        left = [row for co, row in zip(cm.coeffs, oracle) if co[1] is None]
+        pairs: dict = {}
+        for co, row in zip(cm.coeffs, oracle):
+            if co[1] is not None:
+                coeffs, rows = pairs.setdefault(co[:2], ([], []))
+                coeffs.append(co)
+                rows.append(row)
+        at = _Point(m.n, cm.params, point, ())
+        for coeffs, want in pairs.values():
+            got = at.rows(coeffs)
+            assert len(got) == len(coeffs), (model_to_dict(m), t, coeffs)
+            spans = {rank_mod(left + got, prime), rank_mod(left + want, prime),
+                     rank_mod(left + got + want, prime)}
+            assert len(spans) == 1, (model_to_dict(m), t, coeffs)
         oracle_ranks.append(rank_mod(oracle, prime))
     trials = generic_rank(cm, trials=len(PRIMES), seed=seed).trials
     assert [t.rank for t in trials] == oracle_ranks[:len(trials)]
@@ -330,14 +343,17 @@ def test_echelon_rank_equals_gaussian_elimination():
         if rows:
             rows += [list(rng.choice(rows))] * rng.randrange(2)
         rng.shuffle(rows)
-        assert len(_echelon([], rows, p)) == rank_mod(rows, p)
-        # extending a basis in two steps reaches the same rank, and leaves
-        # the basis it was given as it was
-        cut = rng.randrange(len(rows) + 1)
-        head = _echelon([], rows[:cut], p)
-        before = list(head)
-        assert len(_echelon(head, rows[cut:], p)) == rank_mod(rows, p)
-        assert head == before
+        rank = rank_mod(rows, p)
+        assert len(_echelon(rows, p)) == rank
+        # the kernel basis: cols - rank independent vectors, each
+        # orthogonal to every row
+        got, kernel = _kernel(rows, cols, p)
+        assert got == rank and len(kernel) == cols - rank
+        vectors = [[vec.get(c, 0) for c in range(cols)] for vec in kernel]
+        assert all(sum(a * b for a, b in zip(row, vec)) % p == 0
+                   for row in rows for vec in vectors)
+        assert rank_mod(vectors, p) == len(vectors)
+        assert all(0 < x < p for vec in kernel for x in vec.values())
 
 
 # -- frozen rank values for the reference corpus ------------------------------
