@@ -15,9 +15,12 @@ and :func:`check_minor_identities` verifies the minor-determinant
 identities that relate a model to its leaf-edge extension.
 
 Determinants use Laplace expansion memoized over column subsets, which is
-division-free and costs O(n * 2^n) polynomial multiplications -- the right
-trade-off at this package's scale.  The test suite checks it against a
-fraction-free (Bareiss) elimination.
+division-free: O(n * 2^n) products of an entry with a minor.  The
+expansion runs on packed monomials (see :mod:`compident.poly`): each
+entry is packed once into ``{code: coeff}`` dicts, one per power of
+lambda, a product of two monomials is one integer addition, and only the
+final determinant is unpacked into :class:`Poly` terms.  The test suite
+checks it against a fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Mapping, Tuple
 
 from .graphs import SymMatrix, compartmental_matrix, star_matrix
 from .model import Model, is_strongly_connected
-from .poly import LambdaPoly, Poly
+from .poly import LambdaPoly, Param, Poly, _Codec
 
 
 def _lambda_shifted(M: SymMatrix) -> list[list[LambdaPoly]]:
@@ -50,17 +53,44 @@ _ONE = LambdaPoly([Poly.one()])
 
 
 def _det_laplace(rows: list[list[LambdaPoly]]) -> LambdaPoly:
+    """Determinant of a square matrix of lambda-polynomials.
+
+    Every entry is packed once, the expansion runs on packed
+    lambda-lists (one ``{code: coeff}`` dict per power of lambda), and
+    the result is unpacked once.  The codec's exponent bound is, over
+    the parameters, the largest sum over the columns of the parameter's
+    top exponent in the column: a Laplace term takes one entry per
+    column, so no product it forms can exceed it.
+    """
     n = len(rows)
     if n == 0:
         return _ONE
-    return _laplace(rows, tuple(range(n)), {})
+    bound: dict[Param, int] = {}
+    for c in range(n):
+        top: dict[Param, int] = {}
+        for row in rows:
+            for coeff in row[c].coeffs:
+                for mono in coeff.terms:
+                    for p, e in mono:
+                        if e > top.get(p, 0):
+                            top[p] = e
+        for p, e in top.items():
+            bound[p] = bound.get(p, 0) + e
+    codec = _Codec(bound.keys(), max(bound.values(), default=1))
+    packed = [[[codec.pack(coeff) for coeff in entry.coeffs] for entry in row]
+              for row in rows]
+    det = _laplace(packed, tuple(range(n)), {})
+    return LambdaPoly([codec.unpack(d) for d in det])
 
 
-def _laplace(rows: list[list[LambdaPoly]], cols: tuple[int, ...],
-             memo: dict[tuple[int, ...], LambdaPoly]) -> LambdaPoly:
+def _laplace(rows: list[list[list[dict[int, int]]]], cols: tuple[int, ...],
+             memo: dict[tuple[int, ...], list[dict[int, int]]]
+             ) -> list[dict[int, int]]:
     """The minor on the last len(cols) rows and the given columns,
     expanded along its first row and memoized by column set.
 
+    Entries and minors are packed lambda-lists, the empty list being
+    zero; a minor keeps no zero coefficient and no zero top degree.
     A module-level function and not a closure: a recursive closure
     refers to itself through its own cell, so its memo would live until
     the cyclic garbage collector ran.
@@ -72,13 +102,30 @@ def _laplace(rows: list[list[LambdaPoly]], cols: tuple[int, ...],
     if cached is not None:
         return cached
     r = n - len(cols)
-    acc = LambdaPoly.zero()
+    acc: list[dict[int, int]] = []
     for idx, c in enumerate(cols):
         entry = rows[r][c]
         if not entry:
             continue
-        term = entry * _laplace(rows, cols[:idx] + cols[idx + 1:], memo)
-        acc = acc + term if idx % 2 == 0 else acc - term
+        minor = _laplace(rows, cols[:idx] + cols[idx + 1:], memo)
+        if not minor:
+            continue
+        while len(acc) < len(entry) + len(minor) - 1:
+            acc.append({})
+        odd = idx % 2
+        for i, a in enumerate(entry):
+            for j, b in enumerate(minor):
+                out = acc[i + j]
+                get = out.get
+                for ca, va in a.items():
+                    if odd:
+                        va = -va
+                    for cb, vb in b.items():
+                        code = ca + cb
+                        out[code] = get(code, 0) + va * vb
+    acc = [{code: v for code, v in d.items() if v} for d in acc]
+    while acc and not acc[-1]:
+        acc.pop()
     memo[cols] = acc
     return acc
 

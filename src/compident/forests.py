@@ -16,83 +16,24 @@ are sums of forest productivities (products of edge labels):
   ``(-1)^(out+in)`` is reported separately so the stored polynomials keep
   all-positive coefficients.
 
-Enumeration is a depth-first scan over the nodes in increasing order;
-each node either keeps no outgoing edge or picks one of its out-edges,
-and a union-find structure rejects undirected cycles as soon as they
-would form.  All sizes are collected in a single pass, so one traversal
-yields every coefficient of an equation side at once.
+Enumeration is a plain recursion over the nodes with out-edges, in
+increasing order: each keeps no outgoing edge or picks one of them, and a
+list-based union-find with undo rejects an undirected cycle as it would
+form.  Edge labels are distinct, so the recursion carries a forest as a
+packed monomial (see :mod:`compident.poly`) with one bit per edge: the
+sum of the chosen edges' codes.  A finished forest records its code, and
+each code is unpacked once, into the bucket of its size (its bit count).
+All sizes come from a single pass, so one traversal yields every
+coefficient of an equation side at once.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from .graphs import AuxGraph, leak_augmented, strip_outgoing
 from .model import Model, distance, is_strongly_connected
-from .poly import Poly
-
-
-class _DSU:
-    """Union-find over graph nodes with O(1) undo (no path compression)."""
-
-    __slots__ = ("parent", "size", "trail")
-
-    def __init__(self, nodes):
-        self.parent = {v: v for v in nodes}
-        self.size = {v: 1 for v in nodes}
-        self.trail: list[int] = []
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] > self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[ra] = rb
-        self.size[rb] += self.size[ra]
-        self.trail.append(ra)
-        return True
-
-    def undo(self):
-        ra = self.trail.pop()
-        rb = self.parent[ra]
-        self.size[rb] -= self.size[ra]
-        self.parent[ra] = ra
-
-
-def _iter_forests(g: AuxGraph) -> Iterator[tuple[list[int], _DSU]]:
-    """Yield (chosen edge indices, live union-find) for every spanning
-    incoming forest of g, in a fixed depth-first order.
-
-    The union-find is only valid at the moment of the yield; callers must
-    query it before advancing the iterator.
-    """
-    nodes = sorted(g.nodes)
-    out_by_node = [g.out_edges(v) for v in nodes]
-    dsu = _DSU(nodes)
-    chosen: list[int] = []
-    n_nodes = len(nodes)
-
-    def rec(pos: int) -> Iterator[tuple[list[int], _DSU]]:
-        if pos == n_nodes:
-            yield chosen, dsu
-            return
-        yield from rec(pos + 1)  # this node keeps no outgoing edge
-        for ei in out_by_node[pos]:
-            src, dst, _lab = g.edges[ei]
-            if dsu.union(src, dst):
-                chosen.append(ei)
-                yield from rec(pos + 1)
-                chosen.pop()
-                dsu.undo()
-
-    yield from rec(0)
+from .poly import Poly, _Codec
 
 
 def forest_sums_by_size(g: AuxGraph,
@@ -102,15 +43,66 @@ def forest_sums_by_size(g: AuxGraph,
     Returns a list indexed by edge count 0..len(g.nodes); a forest on k
     nodes has at most k-1 edges, so the top buckets are zero.
     """
-    buckets: list[dict] = [dict() for _ in range(len(g.nodes) + 1)]
-    labels = [lab for (_s, _d, lab) in g.edges]
-    for chosen, dsu in _iter_forests(g):
-        if pair is not None and dsu.find(pair[0]) != dsu.find(pair[1]):
+    nodes = sorted(g.nodes)
+    index = {v: k for k, v in enumerate(nodes)}
+    # Labels are distinct (AuxGraph checks), so every exponent is at most
+    # 1, a forest's code has one bit per edge and no two forests share a
+    # code: each forest is a term of coefficient 1 in its size's bucket.
+    codec = _Codec(g.labels())
+    steps: dict[int, list[tuple[int, int]]] = {}
+    for (src, dst, lab) in g.edges:
+        steps.setdefault(index[src], []).append(
+            (index[dst], codec.code(((lab, 1),))))
+    codes: list[int] = []
+    _grow(sorted(steps.items()), 0, 0, list(range(len(nodes))),
+          [1] * len(nodes),
+          None if pair is None else (index[pair[0]], index[pair[1]]), codes)
+    buckets: list[dict[int, int]] = [{} for _ in range(len(nodes) + 1)]
+    for code in codes:
+        buckets[code.bit_count()][code] = 1
+    return [codec.unpack(b) for b in buckets]
+
+
+def _grow(steps: list[tuple[int, list[tuple[int, int]]]], pos: int,
+          code: int, parent: list[int], size: list[int],
+          pair: Optional[Tuple[int, int]], codes: list[int]) -> None:
+    """Extend a partial forest by the choice of node ``steps[pos][0]``.
+
+    ``steps`` lists, for each node with out-edges in increasing order,
+    its edges as (target, code); the node keeps no outgoing edge or one
+    of them.  ``code`` is the sum of the chosen edges' codes, and
+    ``parent``/``size`` are a union-find (union by size, no path
+    compression) over the chosen edges that rejects an undirected cycle
+    as it would form; each union is undone after its subtree.  A
+    complete forest whose pair, if any, lies in one component appends
+    its code to ``codes``.
+    """
+    if pos == len(steps):
+        if pair is not None:
+            a, b = pair
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                return
+        codes.append(code)
+        return
+    _grow(steps, pos + 1, code, parent, size, pair, codes)
+    src, edges = steps[pos]
+    while parent[src] != src:
+        src = parent[src]
+    for dst, bit in edges:
+        while parent[dst] != dst:
+            dst = parent[dst]
+        if dst == src:
             continue
-        mono = tuple(sorted((labels[k], 1) for k in chosen))
-        bucket = buckets[len(chosen)]
-        bucket[mono] = bucket.get(mono, 0) + 1
-    return [Poly(b) for b in buckets]
+        child, root = (src, dst) if size[src] <= size[dst] else (dst, src)
+        parent[child] = root
+        size[root] += size[child]
+        _grow(steps, pos + 1, code + bit, parent, size, pair, codes)
+        size[root] -= size[child]
+        parent[child] = child
 
 
 def lhs_coefficients(m: Model) -> list[Poly]:

@@ -33,7 +33,11 @@ LabeledEdge = Tuple[int, int, Param]
 
 @dataclass(frozen=True)
 class AuxGraph:
-    """A labelled digraph on a subset of {0, 1, ..., n}."""
+    """A labelled digraph on a subset of {0, 1, ..., n}.
+
+    No label appears on two edges, so a forest's productivity is a
+    square-free monomial with one factor per edge.
+    """
 
     nodes: tuple[int, ...]
     edges: tuple[LabeledEdge, ...]
@@ -42,14 +46,18 @@ class AuxGraph:
     def __post_init__(self):
         node_set = set(self.nodes)
         seen: set[tuple[int, int]] = set()
-        for (src, dst, _lab) in self.edges:
+        labels: set[Param] = set()
+        for (src, dst, lab) in self.edges:
             if src not in node_set or dst not in node_set:
                 raise ValueError(f"edge {src}->{dst} uses a node outside {sorted(node_set)}")
             if src == 0:
                 raise ValueError("node 0 must not have outgoing edges")
             if (src, dst) in seen and not self.allows_multi_edges:
                 raise ValueError(f"parallel edge {src}->{dst} in a simple graph")
+            if lab in labels:
+                raise ValueError(f"label {lab} on two edges")
             seen.add((src, dst))
+            labels.add(lab)
 
     def out_edges(self, node: int) -> list[int]:
         """Indices of the edges leaving ``node``."""

@@ -14,6 +14,14 @@ Coefficients are arbitrary-precision ints, so all identities checked by
 the test suite are exact.  There is no floating point anywhere in the
 symbolic path.
 
+The determinant and forest routes build their polynomials on packed
+monomials: over a fixed sorted parameter list, parameter k owns the bit
+field ``[w*k, w*(k+1))`` and a monomial is the int ``sum(e << w*k)``, so
+a product of monomials is one integer addition and a polynomial is an
+``{int: int}`` dict.  The width w is the bit length of a bound on every
+exponent the route can form.  ``_Codec`` packs and unpacks; tuples are
+built once per final term.
+
 ``LambdaPoly`` wraps a dense vector of :class:`Poly` coefficients indexed
 by the degree of an extra distinguished variable ``lambda``, which stands
 for the differentiation operator d/dt when input-output equations are
@@ -61,12 +69,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
-    merged = a + b
-    # A Laplace term takes one entry per column, and the parameters of
-    # column i are all a_*i, so the monomials multiplied there share no
-    # parameter: their product is the two factor lists merged in order.
-    if len(dict(merged)) == len(merged):
-        return tuple(sorted(merged))
     exps: dict[Param, int] = dict(a)
     for p, e in b:
         exps[p] = exps.get(p, 0) + e
@@ -228,6 +230,64 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.text()})"
+
+
+class _Codec:
+    """Monomials over a fixed parameter set packed into single ints.
+
+    The k-th parameter in sorted order owns the bit field [w*k, w*(k+1)),
+    so a monomial's code is the sum of e * 2**(w*k) over its factors and
+    the code of a product is the sum of the factors' codes.  That holds
+    as long as no exponent reaches 2**w: the width w is the bit length of
+    an exponent bound the caller guarantees for every monomial it packs
+    or forms by adding codes.  A packed polynomial is ``{code: coeff}``.
+    """
+
+    __slots__ = ("params", "width", "_shift", "_ones")
+
+    def __init__(self, params: Iterable[Param], bound: int = 1):
+        self.params: tuple[Param, ...] = tuple(sorted(set(params)))
+        self.width = max(1, bound.bit_length())
+        self._shift = {p: self.width * k for k, p in enumerate(self.params)}
+        # the factor (param, 1) for each field, shared by every decoded
+        # monomial of a width-1 codec
+        self._ones = [(p, 1) for p in self.params]
+
+    def code(self, mono: Monomial) -> int:
+        shift = self._shift
+        return sum(e << shift[p] for p, e in mono)
+
+    def pack(self, poly: Poly) -> dict[int, int]:
+        code = self.code
+        return {code(m): c for m, c in poly.terms.items()}
+
+    def monomial(self, code: int) -> Monomial:
+        """The canonical sorted monomial of a code."""
+        factors = []
+        if self.width == 1:
+            ones = self._ones
+            while code:
+                low = code & -code
+                factors.append(ones[low.bit_length() - 1])
+                code ^= low
+            return tuple(factors)
+        width, params = self.width, self.params
+        mask = (1 << width) - 1
+        k = 0
+        while code:
+            e = code & mask
+            if e:
+                factors.append((params[k], e))
+            code >>= width
+            k += 1
+        return tuple(factors)
+
+    def unpack(self, packed: Mapping[int, int]) -> Poly:
+        """The Poly of a packed polynomial with no zero coefficients."""
+        monomial = self.monomial
+        res = Poly.__new__(Poly)
+        res.terms = {monomial(c): v for c, v in packed.items()}
+        return res
 
 
 @dataclass(frozen=True)

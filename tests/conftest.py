@@ -15,12 +15,12 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import pytest
 
-from compident.forests import _iter_forests, forest_sums_by_size, \
-    lhs_coefficients, rhs_coefficients
+from compident.forests import forest_sums_by_size, lhs_coefficients, \
+    rhs_coefficients
 from compident.graphs import AuxGraph, flip_into_leak
 from compident.identify import RankReport, TrialResult, _Point
 from compident.model import Model
@@ -101,8 +101,72 @@ def undirected_components(g: AuxGraph, edge_indices) -> list[set[int]]:
 
 
 # ---------------------------------------------------------------------
-# forest listing: the package's depth-first enumeration, one forest at a
-# time, for the tests that inspect individual forests
+# forest listing: a depth-first enumeration, one forest at a time, for
+# the tests that inspect individual forests; it never packs a monomial,
+# so it is also an oracle for the package's forest sums
+
+
+class _DSU:
+    """Union-find over graph nodes with O(1) undo (no path compression)."""
+
+    __slots__ = ("parent", "size", "trail")
+
+    def __init__(self, nodes):
+        self.parent = {v: v for v in nodes}
+        self.size = {v: 1 for v in nodes}
+        self.trail: list[int] = []
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] > self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[ra] = rb
+        self.size[rb] += self.size[ra]
+        self.trail.append(ra)
+        return True
+
+    def undo(self):
+        ra = self.trail.pop()
+        rb = self.parent[ra]
+        self.size[rb] -= self.size[ra]
+        self.parent[ra] = ra
+
+
+def iter_forests(g: AuxGraph) -> Iterator[tuple[list[int], _DSU]]:
+    """Yield (chosen edge indices, live union-find) for every spanning
+    incoming forest of g, in a fixed depth-first order.
+
+    The union-find is only valid at the moment of the yield; callers must
+    query it before advancing the iterator.
+    """
+    nodes = sorted(g.nodes)
+    out_by_node = [g.out_edges(v) for v in nodes]
+    dsu = _DSU(nodes)
+    chosen: list[int] = []
+    n_nodes = len(nodes)
+
+    def rec(pos: int) -> Iterator[tuple[list[int], _DSU]]:
+        if pos == n_nodes:
+            yield chosen, dsu
+            return
+        yield from rec(pos + 1)  # this node keeps no outgoing edge
+        for ei in out_by_node[pos]:
+            src, dst, _lab = g.edges[ei]
+            if dsu.union(src, dst):
+                chosen.append(ei)
+                yield from rec(pos + 1)
+                chosen.pop()
+                dsu.undo()
+
+    yield from rec(0)
 
 
 @dataclass(frozen=True)
@@ -144,11 +208,11 @@ class ForestQuery:
 
 
 def enumerate_forests(query: ForestQuery) -> list[Forest]:
-    """All forests matching the query, in the package's enumeration order."""
+    """All forests matching the query, in depth-first order."""
     g = query.host
     out: list[Forest] = []
     pair = query.same_component
-    for chosen, dsu in _iter_forests(g):
+    for chosen, dsu in iter_forests(g):
         if len(chosen) != query.edge_count:
             continue
         if pair is not None and dsu.find(pair[0]) != dsu.find(pair[1]):

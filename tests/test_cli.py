@@ -282,6 +282,36 @@ def test_coeffs_output_pins_every_coefficient(capsys, fixtures_dir, name):
     assert lines == []
 
 
+# digests of the output before the determinant and forest routes packed
+# monomials into ints
+@pytest.mark.parametrize("name,digest", [
+    ("cat2_in1_out2", "2b3799fd371e43e6db42e38565dcc1e7e8c094afcca8bfc6cfc5c24e57523b97"),
+    ("cat3_leak1", "1f44742db412de5de57f5ef5de54bc55d7d14d229c39d49b72d21bc1f3c7ebd3"),
+    ("cat4_in4_leak1", "c441f9e131fbd6c9d64f86416703930d08f9adf8ff4017c2b869dc437f899297"),
+    ("chorded_cycle3", "583099e7b9c74991dad596525bf8d5c4d0093a1c4e64132cb174a73c1d227c46"),
+    ("chorded_cycle3_leaf", "84759dd9a96fd7a1c485bd47831793ead2787ae62f19608216fda903e92cea39"),
+    ("chorded_cycle3_leaf_out4", "2a0400ce4bf8973f5d6ae761a618106fe73d253fed8ed42a2e9d7437d2eb63d3"),
+    ("cycle3_out3", "851fe72d60a57c430b567d4cebdeb0fa64067b980cf10f72d880fea44b7d0dec"),
+    ("cycle3_two_leaks", "71cfcfc024d646a13b5836e815abfb504750bbe6c5524d95cb5f2107c6195265"),
+    ("four_edge_sc", "fa3a1ff4610b2fb59efc4fe36880dfa3b848e779e90e8d3ca18a677083d32127"),
+    ("k3_leak", "5f786656a6c87893affda4c839475a78d600b7a4968ca70f1f5d62fe7553ac94"),
+])
+def test_coeffs_json_is_pinned(capsys, fixtures_dir, name, digest):
+    code, out, _ = run_cli(capsys, "coeffs", "--method", "both", "--json",
+                           fixture(fixtures_dir, name))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("method", ["det", "forest"])
+def test_coeffs_text_is_pinned(capsys, fixtures_dir, method):
+    code, out, _ = run_cli(capsys, "coeffs", "--method", method,
+                           fixture(fixtures_dir, "k3_leak"))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "7c1342d17ec0e478ed175b10bc3ef501c0790708716216bbf7a97acc26332729"
+
+
 def test_coeffs_no_inputs(capsys, tmp_path):
     path = tmp_path / "noin.json"
     path.write_text('{"compartments": 1, "edges": [], "in": [], "out": [1], '
@@ -434,6 +464,15 @@ def test_selftest_alternate_seed(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--seed", "7", "--trials", "1")
     assert code == EXIT_OK
     assert "selftest PASS" in out
+
+
+def test_selftest_json_is_pinned(capsys):
+    # digest of the output before the determinant and forest routes
+    # packed monomials into ints
+    code, out, _ = run_cli(capsys, "selftest", "--json", "--seed", "7")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "47071cb950599f85cd652e794b8a909c020f418c7ada9caded98affb510a5ce6"
 
 
 def test_selftest_json_deterministic(capsys):

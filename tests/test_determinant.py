@@ -124,6 +124,61 @@ def test_laplace_equals_bareiss_on_random_poly_matrices():
         assert _det_laplace(rows) == det_bareiss(rows)
 
 
+def test_laplace_equals_bareiss_with_wide_exponent_fields():
+    # cubes and big coefficients: the packed fields are wider than one
+    # bit, and products must add exponents without carrying between them
+    rng = random.Random(53)
+    params = [(1, 2), (2, 1), (3, 1)]
+
+    def rand_poly():
+        p = Poly.zero()
+        for _ in range(rng.randrange(0, 3)):
+            mono = [par for par in params for _ in range(rng.randrange(0, 4))]
+            p = p + Poly.monomial(mono, rng.choice([-1, 1])
+                                  * rng.randrange(1, 2 ** 70))
+        return p
+
+    for n in range(0, 5):
+        for _ in range(4):
+            rows = [[LambdaPoly([rand_poly(), Poly.const(rng.randrange(1, 3))])
+                     if i == j else LambdaPoly.from_poly(rand_poly())
+                     for j in range(n)] for i in range(n)]
+            assert _det_laplace(rows) == det_bareiss(rows)
+    assert _det_laplace([]) == LambdaPoly([Poly.one()])
+    cube = LambdaPoly.from_poly(Poly.monomial([(1, 2)] * 3, 2 ** 65))
+    assert _det_laplace([[cube]]) == cube
+
+
+def test_laplace_reaches_the_exponent_bound():
+    # column 1 holds x^3 and column 2 holds x: the determinant's x^4 fills
+    # a 3-bit field, and x^3 * y^4 two fields side by side
+    x, y = (1, 2), (2, 1)
+    x3 = LambdaPoly.from_poly(Poly.monomial([x] * 3))
+    zero = LambdaPoly.zero()
+    rows = [[x3, zero], [zero, LambdaPoly.from_poly(Poly.var(x))]]
+    assert _det_laplace(rows).text() == "a12^4"
+    y4 = LambdaPoly.from_poly(Poly.monomial([y] * 4, -5))
+    rows = [[x3, y4], [y4, x3]]
+    assert _det_laplace(rows) == det_bareiss(rows)
+    assert _det_laplace(rows).text() == "-25*a21^8 + a12^6"
+
+
+def test_io_equation_multiplies_no_poly(monkeypatch):
+    rng = random.Random(54)
+    m = random_strongly_connected_model(rng, 7, extra=0.35, leak_prob=0.3)
+    calls = []
+    original = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    eq = io_equation(m, min(m.outputs))
+    assert len(m.edges) > 14 and calls == []
+    assert eq.lhs[m.n] == Poly.one()
+
+
 # -- full equations ------------------------------------------------------------
 
 def test_io_equation_triangle():

@@ -1,5 +1,6 @@
 """Forest enumeration and the coefficient formulas."""
 
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from compident.families import (
     reference_models,
 )
 from compident.forests import (
-    _iter_forests,
     forest_sums_by_size,
     lhs_coefficients,
     nonconstant_counts,
@@ -22,8 +22,8 @@ from compident.graphs import AuxGraph, flip_into_leak, leak_augmented, strip_out
 from compident.model import distance
 from compident.poly import Poly
 
-from conftest import (Forest, ForestQuery, brute_force_forests,
-                      enumerate_forests, mk, productivity,
+from conftest import (Forest, ForestQuery, all_digraphs, brute_force_forests,
+                      enumerate_forests, iter_forests, mk, productivity,
                       rhs_coefficients_multigraph, undirected_components)
 
 FIG1 = reference_models()["k3_leak"]
@@ -101,12 +101,46 @@ def test_live_union_find_has_one_component_per_missing_edge():
         hosts.append(flip_into_leak(m, rng.randrange(1, m.n + 1)))
     for g in hosts:
         leaves = 0
-        for chosen, dsu in _iter_forests(g):
+        for chosen, dsu in iter_forests(g):
             roots = {dsu.find(v) for v in g.nodes}
             assert len(roots) == len(g.nodes) - len(chosen)
             leaves += 1
         assert leaves == sum(sum(p.terms.values())
                              for p in forest_sums_by_size(g))
+
+
+def _listed_sums(g: AuxGraph, pair=None) -> list[Poly]:
+    """Forest sums per size from the depth-first listing and
+    productivities, which never pack a monomial."""
+    sums = []
+    for j in range(len(g.nodes) + 1):
+        total = Poly.zero()
+        for f in enumerate_forests(ForestQuery(g, j, same_component=pair)):
+            total = total + productivity(f)
+        sums.append(total)
+    return sums
+
+
+def test_forest_sums_match_listing_on_every_small_digraph():
+    # every digraph with n <= 3 and every leak set of size <= 2: the
+    # leak-augmented graph, the graph stripped at each compartment with
+    # every pair of its nodes, and every flipped multigraph
+    hosts = 0
+    for n, edges in all_digraphs(3):
+        for size in range(3):
+            for leaks in itertools.combinations(range(1, n + 1), size):
+                m = mk(n, edges, [1], [1], leaks)
+                g = leak_augmented(m)
+                assert forest_sums_by_size(g) == _listed_sums(g)
+                for i in m.compartments():
+                    s = strip_outgoing(m, i)
+                    for pair in itertools.combinations_with_replacement(s.nodes, 2):
+                        assert forest_sums_by_size(s, pair) == _listed_sums(s, pair)
+                    f = flip_into_leak(m, i)
+                    assert forest_sums_by_size(f) == _listed_sums(f)
+                    hosts += 2
+                hosts += 1
+    assert hosts == 2 * 3 + 16 * 5 + 448 * 7
 
 
 def test_pair_forests_contain_directed_path():

@@ -103,6 +103,16 @@ def test_aux_graph_invariants_enforced():
     AuxGraph((1, 2), ((1, 2, (2, 1)), (1, 2, (0, 1))), allows_multi_edges=True)
 
 
+def test_aux_graph_rejects_a_repeated_label():
+    # two edges labelled a_99 would make a forest's productivity a_99^2,
+    # which forest sums cannot represent with one bit per label
+    edges = ((1, 0, (9, 9)), (2, 0, (9, 9)), (3, 1, (5, 5)))
+    with pytest.raises(ValueError, match=r"label \(9, 9\) on two edges"):
+        AuxGraph((0, 1, 2, 3), edges, allows_multi_edges=True)
+    with pytest.raises(ValueError, match=r"label \(2, 1\)"):
+        AuxGraph((1, 2, 3), ((1, 2, (2, 1)), (1, 3, (2, 1))))
+
+
 # -- matrices ---------------------------------------------------------------
 
 def v(i, j):

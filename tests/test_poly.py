@@ -11,6 +11,7 @@ from compident.poly import (
     FieldPoint,
     LambdaPoly,
     Poly,
+    _Codec,
 )
 
 from conftest import InexactDivision, eval_mod, lambda_exact_div, \
@@ -193,6 +194,33 @@ def test_mul_repeated_parameters():
     cube = square * a13 * a12
     assert cube.terms == {((A12, 3), (A13, 1)): 1}
     assert cube.text() == "a12^3*a13"
+
+
+def test_codec_round_trip_and_products():
+    # a product's code is the sum of the factors' codes while no exponent
+    # outgrows the bound; one-bit fields need factors with no common
+    # parameter
+    rng = random.Random(27)
+    params = [A02, A12, A13, A21, A23, A31, A32]
+    for bound in (1, 2, 3, 4, 7, 8, 100):
+        codec = _Codec(params + [A12], bound)
+        assert codec.params == tuple(params)
+        assert codec.width == bound.bit_length()
+        assert codec.monomial(0) == () and codec.unpack({}) == Poly.zero()
+        for _ in range(20):
+            poly = random_poly(rng, 6, max_exp=min(bound, 3), max_coeff=2 ** 80)
+            assert codec.unpack(codec.pack(poly)).terms == poly.terms
+            if bound == 1:
+                left = rng.sample(params, 3)
+                a = Poly.monomial(left)
+                b = Poly.monomial(p for p in params if p not in left
+                                  and rng.random() < 0.5)
+            else:
+                a, b = (Poly.monomial(rng.choices(params, k=bound // 2))
+                        for _ in range(2))
+            ((ma, _),), ((mb, _),) = a.terms.items(), b.terms.items()
+            ((mab, _),) = (a * b).terms.items()
+            assert codec.monomial(codec.code(ma) + codec.code(mb)) == mab
 
 
 # -- lambda polynomials ---------------------------------------------------
