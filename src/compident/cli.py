@@ -19,9 +19,10 @@ import sys
 from typing import Mapping, Sequence
 
 from . import families
-from .determinant import IdentityCheckError, IoEquation, check_minor_identities, io_equation
-from .forests import forest_sums_by_size, lhs_coefficients, \
-    nonconstant_counts, rhs_coefficients
+from .determinant import IdentityCheckError, check_minor_identities, \
+    det_lhs, det_rhs
+from .forests import forest_lhs, forest_rhs, forest_sums_by_size, \
+    nonconstant_counts
 from .graphs import flip_into_leak, strip_outgoing
 from .identify import (
     DEFAULT_SEED,
@@ -37,8 +38,8 @@ from .identify import (
     verdict_to_dict,
 )
 from .model import Model, ModelValidationError, distance, distances, \
-    load_model, model_to_dict
-from .poly import Poly
+    load_model, model_to_dict, param_vector
+from .poly import _Codec
 from .transforms import ALL_KINDS, AttachmentRequiredError, RankRelationError, \
     Transform, TransformError, apply_transform, verify_rank_relation, \
     KIND_ADD_LEAF_MOVE_IN, KIND_ADD_LEAF_MOVE_OUT
@@ -103,7 +104,7 @@ def render_equation(out: int, lhs: Sequence[str],
                     rhs: Mapping[int, Sequence[str]], n_compartments: int) -> str:
     """The equation for one output in readable form.
 
-    Takes the coefficients as already rendered by :meth:`Poly.text`:
+    Takes the coefficients as already rendered in canonical text:
     ``lhs`` holds the texts of c_0..c_n and ``rhs`` maps each input j to
     the texts of d_0..d_(n-1).  A ``"0"`` term is left out and a ``"1"``
     coefficient prints as the bare derivative.  The right-hand
@@ -118,56 +119,65 @@ def render_equation(out: int, lhs: Sequence[str],
     return " + ".join(left) + " = " + (" + ".join(right) if right else "0")
 
 
-def _forest_io_equation(m: Model, out: int) -> IoEquation:
-    cs = lhs_coefficients(m)
-    lhs = tuple(cs) + (Poly.one(),)
-    rhs = {}
-    for j in sorted(m.inputs):
-        sign, ds = rhs_coefficients(m, out, j)
-        rhs[j] = (sign, tuple(ds))
-    return IoEquation(out, lhs, rhs)
+Packed = dict[int, int]
+# An equation set on one codec: c_0..c_n, and per (output, input) the
+# unsigned d_0..d_(n-1).
+Sides = tuple[list[Packed], dict[tuple[int, int], list[Packed]]]
 
 
-def _equations_match(a: IoEquation, b: IoEquation) -> bool:
-    return (a.out == b.out and a.lhs == b.lhs
-            and sorted(a.rhs) == sorted(b.rhs)
-            and all(a.rhs[j] == b.rhs[j] for j in a.rhs))
+def _sides(m: Model, codec: _Codec, method: str) -> Sides:
+    """The packed coefficients of every equation of m by one route
+    (``"forest"`` or ``"det"``), the left side computed once."""
+    lhs_of, rhs_of = ((forest_lhs, forest_rhs) if method == "forest"
+                      else (det_lhs, det_rhs))
+    return lhs_of(m, codec), {(out, inp): rhs_of(m, out, inp, codec)
+                              for out in sorted(m.outputs)
+                              for inp in sorted(m.inputs)}
+
+
+def _disagreeing_outputs(m: Model, a: Sides, b: Sides) -> list[int]:
+    """The outputs whose equations differ between two routes, compared
+    term by term on their shared codec."""
+    (lhs_a, rhs_a), (lhs_b, rhs_b) = a, b
+    return [out for out in sorted(m.outputs)
+            if lhs_a != lhs_b or any(rhs_a[out, inp] != rhs_b[out, inp]
+                                     for inp in m.inputs)]
 
 
 def cmd_coeffs(args) -> int:
     m = load_model(args.model)
     if not m.inputs:
         raise NoInputError("model has no inputs")
+    codec = _Codec(param_vector(m))
+    sides = _sides(m, codec, "det" if args.method == "det" else "forest")
+    if args.method == "both":
+        bad = _disagreeing_outputs(m, sides, _sides(m, codec, "det"))
+        if bad:
+            print("internal error: forest and determinant coefficients "
+                  f"disagree for output {bad[0]}", file=sys.stderr)
+            return EXIT_INTERNAL
+    n, text = m.n, codec.text
+    lhs = [text(c) for c in sides[0]]
+    rhs = {pair: [text(d) for d in ds] for pair, ds in sides[1].items()}
     outputs = []
-    lines = [f"model: {m.n} compartments, {m.param_count()} parameters"]
+    lines = [f"model: {n} compartments, {m.param_count()} parameters"]
     for out in sorted(m.outputs):
-        if args.method == "det":
-            eq = io_equation(m, out)
-        elif args.method == "forest":
-            eq = _forest_io_equation(m, out)
-        else:
-            eq = _forest_io_equation(m, out)
-            if not _equations_match(eq, io_equation(m, out)):
-                print("internal error: forest and determinant coefficients "
-                      f"disagree for output {out}", file=sys.stderr)
-                return EXIT_INTERNAL
-        lhs = [c.text() for c in eq.lhs]
-        rhs = {j: [d.text() for d in eq.rhs[j][1]] for j in sorted(eq.rhs)}
-        equation = render_equation(out, lhs, rhs, m.n)
+        ins = {j: rhs[out, j] for j in sorted(m.inputs)}
+        equation = render_equation(out, lhs, ins, n)
         lines.append(f"output {out}")
         lines.append(f"  {equation}")
-        for k in range(eq.n, -1, -1):
+        for k in range(n, -1, -1):
             lines.append(f"  c{k} = {lhs[k]}")
         entry = {"output": out, "equation": equation, "lhs": lhs,
                  "inputs": []}
-        for j, ds in rhs.items():
-            sign = eq.rhs[j][0]
+        for j, ds in ins.items():
+            sign = -1 if (out + j) % 2 else 1
             lines.append(f"  input {j}: sign {'+1' if sign > 0 else '-1'}")
-            for k in range(eq.n - 1, -1, -1):
+            for k in range(n - 1, -1, -1):
                 lines.append(f"  d{k} = {ds[k]}")
             entry["inputs"].append({"input": j, "sign": sign, "d": ds})
         outputs.append(entry)
-    _emit({"method": args.method, "compartments": m.n,
+    _emit({"method": args.method, "compartments": n,
            "params": m.param_count(), "outputs": outputs},
           args.json, lines)
     return EXIT_OK
@@ -341,35 +351,33 @@ _SELFTEST_RANDOM_MODELS = 20
 _SELFTEST_RELATION_MODELS = 6
 
 
-def _check_io_equivalence(m: Model, failures: list) -> dict[int, IoEquation]:
+def _check_io_equivalence(m: Model, failures: list) -> Sides:
     """Compare the forest and determinant equations of every output.
 
-    Returns the forest equations by output, for the checks that follow.
+    Returns the packed forest equations, for the checks that follow.
     """
-    forest_eqs = {}
-    for out in sorted(m.outputs):
-        forest_eq = forest_eqs[out] = _forest_io_equation(m, out)
-        det_eq = io_equation(m, out)
-        if not _equations_match(forest_eq, det_eq):
-            failures.append(f"io mismatch: {model_to_dict(m)} output {out}")
-    return forest_eqs
+    codec = _Codec(param_vector(m))
+    forest = _sides(m, codec, "forest")
+    for out in _disagreeing_outputs(m, forest, _sides(m, codec, "det")):
+        failures.append(f"io mismatch: {model_to_dict(m)} output {out}")
+    return forest
 
 
-def _check_counts(m: Model, forest_eqs: dict[int, IoEquation], failures: list):
+def _check_counts(m: Model, sides: Sides, failures: list):
     lhs_n, rhs_n = nonconstant_counts(m)
     (out,) = m.outputs
     (inp,) = m.inputs
-    eq = forest_eqs[out]
-    cs = eq.lhs[:-1]
-    _sign, ds = eq.rhs[inp]
-    got_lhs = sum(not c.is_constant() for c in cs)
-    got_rhs = sum(not d.is_constant() for d in ds)
+    cs = sides[0][:-1]
+    ds = sides[1][out, inp]
+    # a packed coefficient is non-constant when it has a nonzero code
+    got_lhs = sum(any(c) for c in cs)
+    got_rhs = sum(any(d) for d in ds)
     if (got_lhs, got_rhs) != (lhs_n, rhs_n):
         failures.append(f"count mismatch: {model_to_dict(m)}: "
                         f"({got_lhs},{got_rhs}) != ({lhs_n},{rhs_n})")
     if not m.leaks and cs[0]:
         failures.append(f"c0 nonzero for leakless model {model_to_dict(m)}")
-    if inp == out and ds[m.n - 1] != Poly.one():
+    if inp == out and ds[m.n - 1] != {0: 1}:
         failures.append(f"d_(n-1) != 1 with input = output {model_to_dict(m)}")
     if inp != out:
         length = int(distance(m, inp, out))
@@ -412,8 +420,8 @@ def run_selftest(seed: int, trials: int) -> dict:
     for _ in range(_SELFTEST_RANDOM_MODELS):
         n = rng.randrange(2, 6)
         m = families.random_strongly_connected_model(rng, n)
-        forest_eqs = _check_io_equivalence(m, failures)
-        _check_counts(m, forest_eqs, failures)
+        sides = _check_io_equivalence(m, failures)
+        _check_counts(m, sides, failures)
         _check_flip_equality(m, failures)
 
     relation_checks = 0

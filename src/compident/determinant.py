@@ -16,11 +16,18 @@ identities that relate a model to its leaf-edge extension.
 
 Determinants use Laplace expansion memoized over column subsets, which is
 division-free: O(n * 2^n) products of an entry with a minor.  The
-expansion runs on packed monomials (see :mod:`compident.poly`): each
-entry is packed once into ``{code: coeff}`` dicts, one per power of
-lambda, a product of two monomials is one integer addition, and only the
-final determinant is unpacked into :class:`Poly` terms.  The test suite
-checks it against a fraction-free (Bareiss) elimination.
+expansion runs on packed monomials (see :mod:`compident.poly`): every
+entry is a list of ``{code: coeff}`` dicts, one per power of lambda, and
+a product of two monomials is one integer addition.  For a model,
+:func:`det_lhs` and :func:`det_rhs` build the packed ``lambda*I - A``
+straight from its edges and leaks on the caller's one-bit codec (each
+parameter sits in one column, so no exponent exceeds 1) and return
+packed coefficients; a minor deletes a row and a column of it.
+:func:`io_equation` unpacks those.  :func:`char_lambda_poly` and
+:func:`minor_lambda_poly` take any :class:`~compident.graphs.SymMatrix`:
+its entries are packed once on a codec wide enough for their exponents
+and only the determinant is unpacked.  The test suite checks the
+expansion against a fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 from .graphs import SymMatrix, compartmental_matrix, star_matrix
-from .model import Model, is_strongly_connected
+from .model import Model, is_strongly_connected, param_vector
 from .poly import LambdaPoly, Param, Poly, _Codec
 
 
@@ -187,17 +194,59 @@ def io_equation(m: Model, out: int) -> IoEquation:
         raise ValueError(f"compartment {out} is not an output of the model")
     if not m.inputs:
         raise ValueError("model has no inputs; no input-output equation")
-    n = m.n
-    A = compartmental_matrix(m)
-    char = char_lambda_poly(A)
-    lhs = tuple(char.coeff(k) for k in range(n + 1))
+    codec = _Codec(param_vector(m))
+    unpack = codec.unpack
+    lhs = tuple(unpack(c) for c in det_lhs(m, codec))
     rhs: dict[int, tuple[int, tuple[Poly, ...]]] = {}
     for j in sorted(m.inputs):
-        minor = minor_lambda_poly(A, j, out)
         sign = -1 if (out + j) % 2 else 1
-        ds = tuple(minor.coeff(k).scale(sign) for k in range(n))
-        rhs[j] = (sign, ds)
+        rhs[j] = (sign, tuple(unpack(d) for d in det_rhs(m, out, j, codec)))
     return IoEquation(out, lhs, rhs)
+
+
+def _model_rows(m: Model, codec: _Codec) -> list[list[list[dict[int, int]]]]:
+    """lambda*I - A of the model, packed on ``codec``: entry (t, f) is
+    -a_tf for an edge f -> t, and the diagonal (j, j) is lambda plus
+    a_kj over the edges j -> k, plus a_0j for a leak."""
+    n = m.n
+    rows: list[list[list[dict[int, int]]]] = [[[] for _ in range(n)]
+                                              for _ in range(n)]
+    diag: list[dict[int, int]] = [{} for _ in range(n)]
+    for (f, t) in m.edges:
+        code = codec.var((t, f))
+        rows[t - 1][f - 1] = [{code: -1}]
+        diag[f - 1][code] = 1
+    for j in m.leaks:
+        diag[j - 1][codec.var((0, j))] = 1
+    for j in range(n):
+        rows[j][j] = [diag[j], {0: 1}]
+    return rows
+
+
+def _packed_det(rows: list[list[list[dict[int, int]]]]
+                ) -> list[dict[int, int]]:
+    return _laplace(rows, tuple(range(len(rows))), {}) if rows else [{0: 1}]
+
+
+def det_lhs(m: Model, codec: _Codec) -> list[dict[int, int]]:
+    """``[c_0, ..., c_n]``, the coefficients of ``det(lambda*I - A)``,
+    packed on ``codec``, a one-bit codec over the model's parameters."""
+    return _packed_det(_model_rows(m, codec))
+
+
+def det_rhs(m: Model, out: int, inp: int,
+            codec: _Codec) -> list[dict[int, int]]:
+    """The unsigned ``[d_0, ..., d_{n-1}]`` of one (output, input) pair:
+    ``(-1)^(out+inp)`` times the coefficients of the minor of
+    ``lambda*I - A`` without row ``inp`` and column ``out``, packed on
+    ``codec``."""
+    rows = [[e for c, e in enumerate(row, start=1) if c != out]
+            for r, row in enumerate(_model_rows(m, codec), start=1)
+            if r != inp]
+    minor = _packed_det(rows)
+    if (out + inp) % 2:
+        minor = [{code: -v for code, v in d.items()} for d in minor]
+    return minor + [{} for _ in range(m.n - len(minor))]
 
 
 class IdentityCheckError(AssertionError):

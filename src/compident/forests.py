@@ -21,10 +21,17 @@ increasing order: each keeps no outgoing edge or picks one of them, and a
 list-based union-find with undo rejects an undirected cycle as it would
 form.  Edge labels are distinct, so the recursion carries a forest as a
 packed monomial (see :mod:`compident.poly`) with one bit per edge: the
-sum of the chosen edges' codes.  A finished forest records its code, and
-each code is unpacked once, into the bucket of its size (its bit count).
-All sizes come from a single pass, so one traversal yields every
-coefficient of an equation side at once.
+sum of the chosen edges' codes.  A finished forest drops its code into
+the ``{code: 1}`` bucket of its size (its bit count).  All sizes come
+from a single pass, so one traversal yields every coefficient of an
+equation side at once.
+
+The core, :func:`forest_buckets`, packs on the caller's codec, so the
+``coeffs`` command keeps both routes' coefficients packed on one codec
+per request, compares them there and renders them from the codes;
+:func:`forest_lhs` and :func:`forest_rhs` give one equation side each.
+:func:`forest_sums_by_size`, :func:`lhs_coefficients` and
+:func:`rhs_coefficients` unpack the same buckets into :class:`Poly`.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .graphs import AuxGraph, leak_augmented, strip_outgoing
-from .model import Model, distance, is_strongly_connected
+from .model import Model, distance, is_strongly_connected, param_vector
 from .poly import Poly, _Codec
 
 
@@ -43,16 +50,25 @@ def forest_sums_by_size(g: AuxGraph,
     Returns a list indexed by edge count 0..len(g.nodes); a forest on k
     nodes has at most k-1 edges, so the top buckets are zero.
     """
+    codec = _Codec(g.labels())
+    return [codec.unpack(b) for b in forest_buckets(g, codec, pair)]
+
+
+def forest_buckets(g: AuxGraph, codec: _Codec,
+                   pair: Optional[Tuple[int, int]] = None
+                   ) -> list[dict[int, int]]:
+    """:func:`forest_sums_by_size` packed on ``codec``: per size, the
+    ``{code: 1}`` dict of the forests of that many edges.
+
+    The codec must have one-bit fields and hold every label of ``g``.
+    Labels are distinct (AuxGraph checks), so a forest's code has one
+    bit per edge and no two forests share a code.
+    """
     nodes = sorted(g.nodes)
     index = {v: k for k, v in enumerate(nodes)}
-    # Labels are distinct (AuxGraph checks), so every exponent is at most
-    # 1, a forest's code has one bit per edge and no two forests share a
-    # code: each forest is a term of coefficient 1 in its size's bucket.
-    codec = _Codec(g.labels())
     steps: dict[int, list[tuple[int, int]]] = {}
     for (src, dst, lab) in g.edges:
-        steps.setdefault(index[src], []).append(
-            (index[dst], codec.code(((lab, 1),))))
+        steps.setdefault(index[src], []).append((index[dst], codec.var(lab)))
     codes: list[int] = []
     _grow(sorted(steps.items()), 0, 0, list(range(len(nodes))),
           [1] * len(nodes),
@@ -60,7 +76,7 @@ def forest_sums_by_size(g: AuxGraph,
     buckets: list[dict[int, int]] = [{} for _ in range(len(nodes) + 1)]
     for code in codes:
         buckets[code.bit_count()][code] = 1
-    return [codec.unpack(b) for b in buckets]
+    return buckets
 
 
 def _grow(steps: list[tuple[int, list[tuple[int, int]]]], pos: int,
@@ -111,9 +127,15 @@ def lhs_coefficients(m: Model) -> list[Poly]:
     ``c_k`` is the sum of productivities over all (n-k)-edge spanning
     incoming forests of the leak-augmented graph.
     """
-    sums = forest_sums_by_size(leak_augmented(m))
+    codec = _Codec(param_vector(m))
+    return [codec.unpack(c) for c in forest_lhs(m, codec)[:-1]]
+
+
+def forest_lhs(m: Model, codec: _Codec) -> list[dict[int, int]]:
+    """``[c_0, ..., c_n]`` packed on ``codec``, with ``c_n = {0: 1}``."""
+    sums = forest_buckets(leak_augmented(m), codec)
     n = m.n
-    return [sums[n - k] for k in range(n)]
+    return [sums[n - k] for k in range(n + 1)]
 
 
 def rhs_coefficients(m: Model, out: int, inp: int) -> tuple[int, list[Poly]]:
@@ -129,11 +151,18 @@ def rhs_coefficients(m: Model, out: int, inp: int) -> tuple[int, list[Poly]]:
         raise ValueError(f"compartment {out} is not an output")
     if inp not in m.inputs:
         raise ValueError(f"compartment {inp} is not an input")
-    sums = forest_sums_by_size(strip_outgoing(m, out), pair=(inp, out))
-    n = m.n
-    ds = [sums[n - k - 1] for k in range(n)]
+    codec = _Codec(param_vector(m))
     sign = -1 if (out + inp) % 2 else 1
-    return sign, ds
+    return sign, [codec.unpack(d) for d in forest_rhs(m, out, inp, codec)]
+
+
+def forest_rhs(m: Model, out: int, inp: int,
+               codec: _Codec) -> list[dict[int, int]]:
+    """The unsigned ``[d_0, ..., d_{n-1}]`` of one (output, input) pair,
+    packed on ``codec``."""
+    sums = forest_buckets(strip_outgoing(m, out), codec, pair=(inp, out))
+    n = m.n
+    return [sums[n - k - 1] for k in range(n)]
 
 
 def nonconstant_counts(m: Model) -> tuple[int, int]:

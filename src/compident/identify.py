@@ -96,12 +96,15 @@ class NotATreeError(ValueError):
 class CoefficientMap:
     """Ordered non-constant coefficients of all input-output equations.
 
-    Order: outputs ascending; per output the left-side coefficients by
-    descending derivative order, then per input (ascending) the
+    Every equation has the same left side, the coefficients ``c_k`` of
+    ``det(lambda*I - A)``, so each counts once: ``m`` is the number of
+    distinct non-constant coefficients.  Order: outputs ascending; the
+    first output lists the left-side coefficients by descending
+    derivative order; then every output lists, per input (ascending), its
     right-side coefficients by descending order.  Each coefficient is
     named by ``(output, input, k)``: input None stands for the left-side
-    ``c_k``, an input compartment for the right-side ``d_k``.  Constants
-    (0 and 1) are excluded.
+    ``c_k``, listed under the first output, and an input compartment for
+    the right-side ``d_k``.  Constants (0 and 1) are excluded.
     """
 
     model: Model
@@ -220,9 +223,10 @@ def coefficient_maps(models: Sequence[Model]) -> list[CoefficientMap]:
     params = param_vector(model)
     cms = []
     for m in models:
-        coeffs: list[tuple[int, Optional[int], int]] = []
-        for out in sorted(m.outputs):
-            coeffs += [(out, None, n - s) for s in range(1, lhs_top + 1)]
+        outs = sorted(m.outputs)
+        coeffs: list[tuple[int, Optional[int], int]] = [
+            (outs[0], None, n - s) for s in range(1, lhs_top + 1)]
+        for out in outs:
             if out not in rhs_tops:
                 rhs_tops[out] = n + 1 - _terminal_components(
                     succ[:out] + [[]] + succ[out + 1:])

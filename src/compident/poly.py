@@ -15,12 +15,17 @@ the test suite are exact.  There is no floating point anywhere in the
 symbolic path.
 
 The determinant and forest routes build their polynomials on packed
-monomials: over a fixed sorted parameter list, parameter k owns the bit
-field ``[w*k, w*(k+1))`` and a monomial is the int ``sum(e << w*k)``, so
-a product of monomials is one integer addition and a polynomial is an
-``{int: int}`` dict.  The width w is the bit length of a bound on every
-exponent the route can form.  ``_Codec`` packs and unpacks; tuples are
-built once per final term.
+monomials: over a fixed sorted list of P parameters, parameter k owns
+the bit field ``[w*(P-1-k), w*(P-k))``, the first parameter the top
+one, and a monomial is the int ``sum(e << w*(P-1-k))``, so a product of
+monomials is one integer addition and a polynomial is an ``{int: int}``
+dict.  The width w is the bit length of a bound on every exponent the
+route can form.  ``_Codec`` packs, unpacks and renders.  With the first
+parameter on top, two monomials of one degree stand in canonical text
+order exactly when their codes stand in descending order, so the text is
+rendered straight from the codes: sort by (degree, code) descending and
+name each factor by its field.  ``Poly.text`` packs and then renders, so
+there is one renderer.
 
 ``LambdaPoly`` wraps a dense vector of :class:`Poly` coefficients indexed
 by the degree of an extra distinguished variable ``lambda``, which stands
@@ -188,45 +193,9 @@ class Poly:
         The result is ``"0"`` exactly for the zero polynomial and ``"1"``
         exactly for the one polynomial.
         """
-        if not self.terms:
-            return "0"
-        names: dict[Param, str] = {}
-        keyed = []
-        for mono, coeff in self.terms.items():
-            # Sort key: -degree, then the indices of the flattened
-            # parameter list.  Within one degree these lists have equal
-            # length, so comparing the ints orders them as the pairs.
-            deg = 0
-            key = [0]
-            factors = []
-            for p, e in mono:
-                name = names.get(p)
-                if name is None:
-                    name = names[p] = param_name(p)
-                deg += e
-                if e == 1:
-                    key += p
-                    factors.append(name)
-                else:
-                    key += p * e
-                    factors.append(f"{name}^{e}")
-            key[0] = -deg
-            keyed.append((tuple(key), "*".join(factors), coeff))
-        # Distinct monomials have distinct keys, so the sort never
-        # compares past them.
-        keyed.sort()
-        parts: list[str] = []
-        for _key, body, coeff in keyed:
-            mag = abs(coeff)
-            if not body:
-                tok = str(mag)
-            elif mag == 1:
-                tok = body
-            else:
-                tok = f"{mag}*{body}"
-            parts.append(("- " if coeff < 0 else "+ ") + tok)
-        joined = " ".join(parts)
-        return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+        bound = max((e for mono in self.terms for _p, e in mono), default=1)
+        codec = _Codec((p for mono in self.terms for p, _e in mono), bound)
+        return codec.text(codec.pack(self))
 
     def __repr__(self) -> str:
         return f"Poly({self.text()})"
@@ -235,23 +204,37 @@ class Poly:
 class _Codec:
     """Monomials over a fixed parameter set packed into single ints.
 
-    The k-th parameter in sorted order owns the bit field [w*k, w*(k+1)),
-    so a monomial's code is the sum of e * 2**(w*k) over its factors and
-    the code of a product is the sum of the factors' codes.  That holds
-    as long as no exponent reaches 2**w: the width w is the bit length of
-    an exponent bound the caller guarantees for every monomial it packs
-    or forms by adding codes.  A packed polynomial is ``{code: coeff}``.
+    With P parameters in sorted order, the k-th owns the bit field
+    [w*(P-1-k), w*(P-k)): the first parameter sits in the top field.  A
+    monomial's code is the sum of e * 2**(w*(P-1-k)) over its factors,
+    and the code of a product is the sum of the factors' codes.  That
+    holds as long as no exponent reaches 2**w: the width w is the bit
+    length of an exponent bound the caller guarantees for every monomial
+    it packs or forms by adding codes.  A packed polynomial is
+    ``{code: coeff}``.
+
+    Of two monomials of one degree, the one with the larger code comes
+    first in the canonical text (:meth:`text`), for any width: at the
+    first parameter where their exponents differ, which owns the highest
+    differing field, the larger code has more of that parameter, so its
+    flattened parameter list has that parameter where the other's has a
+    later one.
     """
 
-    __slots__ = ("params", "width", "_shift", "_ones")
+    __slots__ = ("params", "width", "_shift", "_names")
 
     def __init__(self, params: Iterable[Param], bound: int = 1):
         self.params: tuple[Param, ...] = tuple(sorted(set(params)))
         self.width = max(1, bound.bit_length())
-        self._shift = {p: self.width * k for k, p in enumerate(self.params)}
-        # the factor (param, 1) for each field, shared by every decoded
-        # monomial of a width-1 codec
-        self._ones = [(p, 1) for p in self.params]
+        top = len(self.params) - 1
+        self._shift = {p: self.width * (top - k)
+                       for k, p in enumerate(self.params)}
+        # the name of the parameter in each field, lowest field first
+        self._names = [param_name(p) for p in reversed(self.params)]
+
+    def var(self, param: Param) -> int:
+        """The code of a single parameter."""
+        return 1 << self._shift[param]
 
     def code(self, mono: Monomial) -> int:
         shift = self._shift
@@ -264,22 +247,13 @@ class _Codec:
     def monomial(self, code: int) -> Monomial:
         """The canonical sorted monomial of a code."""
         factors = []
-        if self.width == 1:
-            ones = self._ones
-            while code:
-                low = code & -code
-                factors.append(ones[low.bit_length() - 1])
-                code ^= low
-            return tuple(factors)
-        width, params = self.width, self.params
-        mask = (1 << width) - 1
-        k = 0
+        top = len(self.params) - 1
+        params, width = self.params, self.width
         while code:
-            e = code & mask
-            if e:
-                factors.append((params[k], e))
-            code >>= width
-            k += 1
+            f = (code.bit_length() - 1) // width
+            e = code >> f * width
+            code ^= e << f * width
+            factors.append((params[top - f], e))
         return tuple(factors)
 
     def unpack(self, packed: Mapping[int, int]) -> Poly:
@@ -288,6 +262,48 @@ class _Codec:
         res = Poly.__new__(Poly)
         res.terms = {monomial(c): v for c, v in packed.items()}
         return res
+
+    def text(self, packed: Mapping[int, int]) -> str:
+        """The canonical text of a packed polynomial (see :meth:`Poly.text`).
+
+        Terms go by degree, then by code, both descending.  A body names
+        its factors by walking the fields from the top down.
+        """
+        if not packed:
+            return "0"
+        names, width = self._names, self.width
+        order = sorted(packed, reverse=True)
+        # stable, so the codes of one degree stay in descending order
+        order.sort(key=int.bit_count if width == 1 else self._degree,
+                   reverse=True)
+        parts = []
+        for code in order:
+            factors = []
+            rest = code
+            while rest:
+                f = (rest.bit_length() - 1) // width
+                e = rest >> f * width
+                rest ^= e << f * width
+                factors.append(names[f] if e == 1 else f"{names[f]}^{e}")
+            coeff = packed[code]
+            mag = abs(coeff)
+            if not factors:
+                tok = str(mag)
+            elif mag == 1:
+                tok = "*".join(factors)
+            else:
+                tok = f"{mag}*" + "*".join(factors)
+            parts.append(("- " if coeff < 0 else "+ ") + tok)
+        joined = " ".join(parts)
+        return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+
+    def _degree(self, code: int) -> int:
+        mask = (1 << self.width) - 1
+        deg = 0
+        while code:
+            deg += code & mask
+            code >>= self.width
+        return deg
 
 
 @dataclass(frozen=True)

@@ -443,12 +443,14 @@ def symbolic_jacobian_mod_point(entries, params, point) -> list[list[int]]:
 
 def symbolic_labels(m: Model) -> tuple[str, ...]:
     """Coefficient-map labels from the expanded forest polynomials: every
-    coefficient that is not a constant, in the map's order."""
+    coefficient that is not a constant, in the map's order.  The left
+    side is shared by every equation and listed once, under the first
+    output."""
     cs = lhs_coefficients(m)
-    labels = []
-    for out in sorted(m.outputs):
-        labels += [f"y{out}.c{k}" for k in range(m.n - 1, -1, -1)
-                   if not cs[k].is_constant()]
+    outs = sorted(m.outputs)
+    labels = [f"y{outs[0]}.c{k}" for k in range(m.n - 1, -1, -1)
+              if not cs[k].is_constant()]
+    for out in outs:
         for inp in sorted(m.inputs):
             _sign, ds = rhs_coefficients(m, out, inp)
             labels += [f"y{out}.u{inp}.d{k}" for k in range(m.n - 1, -1, -1)

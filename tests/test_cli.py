@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from compident import cli, identify, model
+from compident import cli, determinant, forests, identify, model, poly
 from compident.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID_MODEL,
@@ -21,6 +21,7 @@ from compident.cli import (
 )
 from compident.determinant import io_equation
 from compident.families import bidirectional_tree_model, labeled_trees
+from compident.graphs import leak_augmented
 from compident.identify import coefficient_map, generic_rank
 from compident.model import load_model
 
@@ -310,6 +311,124 @@ def test_coeffs_text_is_pinned(capsys, fixtures_dir, method):
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "7c1342d17ec0e478ed175b10bc3ef501c0790708716216bbf7a97acc26332729"
+
+
+# two inputs, three outputs and a leak
+SEVERAL_IO = {"compartments": 4,
+              "edges": [{"from": f, "to": t} for (f, t) in
+                        [(1, 2), (1, 3), (2, 1), (2, 3), (3, 4), (4, 1)]],
+              "in": [1, 3], "out": [1, 2, 4], "leak": [2]}
+
+
+@pytest.fixture
+def several_io(tmp_path):
+    path = tmp_path / "several_io.json"
+    path.write_text(json.dumps(SEVERAL_IO))
+    return str(path)
+
+
+# digests of the output before the coefficients stayed packed up to the
+# text and the left side was computed once per request
+@pytest.mark.parametrize("argv,digest", [
+    (("--method", "both", "--json"),
+     "26bafe280956de14b1bd550c273d574d110d146a0382d9d72eba4be621c7edca"),
+    (("--method", "det"),
+     "91733b806e822c16c5df79313ea3358f2ff6777f7dc2b15e0bd32498cbf67ebb"),
+    (("--method", "forest"),
+     "91733b806e822c16c5df79313ea3358f2ff6777f7dc2b15e0bd32498cbf67ebb"),
+])
+def test_coeffs_several_outputs_are_pinned(capsys, several_io, argv, digest):
+    code, out, _ = run_cli(capsys, "coeffs", several_io, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_coeffs_computes_the_left_side_once(monkeypatch, capsys, several_io):
+    buckets = count_calls(monkeypatch, forests, "forest_buckets")
+    laplace = count_calls(monkeypatch, determinant, "_laplace")
+    code, _, _ = run_cli(capsys, "coeffs", several_io, "--method", "both")
+    assert code == EXIT_OK
+    # one recursion for the left side, one per (output, input) pair
+    lhs_graph = leak_augmented(load_model(several_io))
+    assert sum(args[0] == lhs_graph for args in buckets) == 1
+    assert len(buckets) == 1 + 3 * 2
+    # one expansion of det(lambda*I - A), one of each minor
+    tops = [len(rows) for rows, cols, _memo in laplace if len(rows) == len(cols)]
+    assert sorted(tops) == [3] * 6 + [4]
+
+
+def test_coeffs_builds_no_poly(monkeypatch, capsys, several_io):
+    # a Poly starts from its constructor or from a codec's unpack: ring
+    # operations need a Poly to start from
+    built = []
+    for cls, name in ((poly.Poly, "__init__"), (poly._Codec, "unpack")):
+        def counted(*args, _original=getattr(cls, name), **kwargs):
+            built.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    assert poly.Poly.one() and built
+    built.clear()
+    for method in ("both", "det", "forest"):
+        code, _, _ = run_cli(capsys, "coeffs", several_io, "--method", method)
+        assert code == EXIT_OK
+    assert built == []
+
+
+def _dropping_a_term(original, when):
+    # the route's result with the first term of its top nonzero
+    # coefficient left out, for the calls that ``when`` picks
+    def patched(*args):
+        coeffs = [dict(d) for d in original(*args)]
+        if when(*args):
+            top = next(d for d in reversed(coeffs) if d)
+            del top[next(iter(top))]
+        return coeffs
+    return patched
+
+
+@pytest.mark.parametrize("name,when,bad", [
+    ("det_rhs", lambda m, out, inp, codec: out == 2, 2),
+    ("det_lhs", lambda m, codec: True, 1),
+    ("forest_rhs", lambda m, out, inp, codec: (out, inp) == (4, 3), 4),
+])
+def test_coeffs_reports_disagreeing_routes(monkeypatch, capsys, several_io,
+                                           name, when, bad):
+    monkeypatch.setattr(cli, name, _dropping_a_term(getattr(cli, name), when))
+    code, out, err = run_cli(capsys, "coeffs", several_io, "--method", "both",
+                             "--json")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == ("internal error: forest and determinant coefficients "
+                   f"disagree for output {bad}\n")
+    # each route alone has nothing to compare against
+    code, _, _ = run_cli(capsys, "coeffs", several_io, "--method", "forest")
+    assert code == EXIT_OK
+
+
+def test_selftest_reports_disagreeing_routes(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "det_lhs", _dropping_a_term(
+        cli.det_lhs, lambda m, codec: True))
+    code, out, _ = run_cli(capsys, "selftest", "--json")
+    assert code == EXIT_INTERNAL
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["failures"]
+    assert all(f.startswith("io mismatch: ") for f in doc["failures"])
+
+
+def test_analyze_counts_the_left_side_once(capsys, tmp_path):
+    # two outputs share c_2, c_1, c_0: 6 coefficients, not 9, and rank 6
+    # is the expected dimension min(7, 6)
+    path = tmp_path / "two_outputs.json"
+    path.write_text(json.dumps({
+        "compartments": 3,
+        "edges": [{"from": f, "to": t} for (f, t) in
+                  [(1, 2), (2, 1), (2, 3), (3, 1), (3, 2)]],
+        "in": [1], "out": [1, 3], "leak": [1, 3]}))
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == EXIT_OK
+    assert "params: 7  coeffs: 6" in out
+    assert "image dimension: 6 of expected 6 -> expected dimension" in out
 
 
 def test_coeffs_no_inputs(capsys, tmp_path):

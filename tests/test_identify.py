@@ -42,6 +42,7 @@ from compident.identify import (
     verdict_to_dict,
 )
 from compident import model as model_module
+from compident.forests import lhs_coefficients, rhs_coefficients
 from compident.model import Model, distance, model_to_dict
 from compident.poly import PRIMES, FieldPoint, Poly
 
@@ -592,6 +593,27 @@ def test_expected_dimension_triangle():
 def test_expected_dimension_trivial_model():
     dim = expected_dimension(mk(1, [], [1], [1]))
     assert dim.image_dim == 0 and dim.expected == 0
+    assert dim.has_expected_dimension
+
+
+def test_left_side_counts_once_with_several_outputs():
+    # every equation has the left side c_k of det(lambda*I - A), so a
+    # two-output map lists it once and m counts the distinct non-constant
+    # coefficients; counted once per output, m was 9 and min(p, m) = 7
+    # made this model read "dimension deficient" at rank 6
+    m = mk(3, [(1, 2), (2, 1), (2, 3), (3, 1), (3, 2)], [1], [1, 3], [1, 3])
+    cm = coefficient_map(m)
+    polys = set(lhs_coefficients(m))
+    for out in m.outputs:
+        for inp in m.inputs:
+            polys.update(rhs_coefficients(m, out, inp)[1])
+    distinct = {p for p in polys if not p.is_constant()}
+    assert cm.m == len(distinct) == 6
+    assert set(cm.entries) == distinct
+    assert [label for label in cm.labels if ".c" in label] == \
+        ["y1.c2", "y1.c1", "y1.c0"]
+    dim = expected_dimension(m)
+    assert dim.image_dim == dim.expected == cm.m < cm.p == 7
     assert dim.has_expected_dimension
 
 

@@ -167,14 +167,38 @@ def test_text_coefficients_and_signs():
 
 
 def test_text_matches_reference_renderer_random():
+    # non-homogeneous polynomials with exponents up to 4 (fields of 3
+    # bits), coefficients of either sign beyond 2**64, and the constant
+    # and zero polynomials
     rng = random.Random(8)
     params = [A02, A12, A13, A21, (10, 2), (0, 11), (2, 10), (12, 13)]
-    polys = [Poly.zero()]
-    for _ in range(60):
-        p = random_poly(rng, 12, rng.sample(params, 5), max_exp=3)
-        polys.append(p + Poly.const(rng.randrange(-5, 6)))
+    polys = [Poly.zero(), Poly.const(-7), Poly.const(2 ** 70)]
+    for max_exp in (1, 2, 3, 4):
+        for _ in range(30):
+            p = random_poly(rng, 12, rng.sample(params, 5), max_exp=max_exp,
+                            max_coeff=rng.choice([9, 2 ** 70]))
+            polys.append(p + Poly.const(rng.randrange(-5, 6)))
+    assert any(max(e for m in p.terms for _q, e in m) == 4
+               for p in polys if not p.is_constant())
+    assert any(abs(c) > 2 ** 64 for p in polys for c in p.terms.values())
     for p in polys:
         assert p.text() == reference_text(p)
+
+
+def test_codec_text_renders_a_packed_dict():
+    # a one-bit codec over parameters the polynomial does not all use
+    codec = _Codec([A32, A02, A13, A21, A23, A31, (10, 2)])
+    assert codec.width == 1
+    packed = {codec.code(((A02, 1), (A13, 1))): 1,
+              codec.code(((A21, 1), (A32, 1))): -3,
+              codec.code(((A13, 1), (A23, 1))): 2 ** 65,
+              codec.code(((A31, 1),)): 1,
+              codec.code(((A02, 1), (A23, 1), (A32, 1))): -1,
+              0: 4}
+    want = ("-a02*a23*a32 + a02*a13 + 36893488147419103232*a13*a23 "
+            "- 3*a21*a32 + a31 + 4")
+    assert codec.text(packed) == want == reference_text(codec.unpack(packed))
+    assert codec.text({}) == "0" and codec.text({0: 1}) == "1"
 
 
 def test_text_matches_reference_renderer_on_fixture_equations():
@@ -197,15 +221,18 @@ def test_mul_repeated_parameters():
 
 
 def test_codec_round_trip_and_products():
-    # a product's code is the sum of the factors' codes while no exponent
-    # outgrows the bound; one-bit fields need factors with no common
-    # parameter
+    # the first sorted parameter owns the top field; a product's code is
+    # the sum of the factors' codes while no exponent outgrows the bound;
+    # one-bit fields need factors with no common parameter
     rng = random.Random(27)
     params = [A02, A12, A13, A21, A23, A31, A32]
     for bound in (1, 2, 3, 4, 7, 8, 100):
         codec = _Codec(params + [A12], bound)
         assert codec.params == tuple(params)
         assert codec.width == bound.bit_length()
+        for k, p in enumerate(params):
+            assert codec.var(p) == 1 << codec.width * (len(params) - 1 - k)
+            assert codec.code(((p, bound),)) == bound * codec.var(p)
         assert codec.monomial(0) == () and codec.unpack({}) == Poly.zero()
         for _ in range(20):
             poly = random_poly(rng, 6, max_exp=min(bound, 3), max_coeff=2 ** 80)
