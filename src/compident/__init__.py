@@ -12,12 +12,10 @@ from .determinant import (
     IdentityCheckError,
     IoEquation,
     MinorIdentityReport,
-    char_lambda_poly,
     check_minor_forest_signs,
     check_minor_identities,
     check_stripped_minor_identity,
     io_equation,
-    minor_lambda_poly,
 )
 from .families import (
     bidirectional_cycle,
@@ -27,6 +25,7 @@ from .families import (
     labeled_trees,
     mammillary,
     reference_models,
+    reference_verdicts,
 )
 from .forests import (
     forest_sums_by_size,
@@ -36,11 +35,9 @@ from .forests import (
 )
 from .graphs import (
     AuxGraph,
-    SymMatrix,
     compartmental_matrix,
     flip_into_leak,
     leak_augmented,
-    star_matrix,
     strip_outgoing,
 )
 from .identify import (
@@ -82,7 +79,6 @@ from .model import (
 from .poly import (
     PRIMES,
     FieldPoint,
-    LambdaPoly,
     Param,
     Poly,
 )

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from . import families
 from .determinant import IdentityCheckError, check_minor_identities, \
     det_lhs, det_rhs
-from .forests import forest_lhs, forest_rhs, forest_sums_by_size, \
+from .forests import forest_buckets, forest_lhs, forest_rhs, \
     nonconstant_counts
 from .graphs import flip_into_leak, strip_outgoing
 from .identify import (
@@ -334,19 +334,6 @@ def cmd_sweep_trees(args) -> int:
 # selftest
 
 
-_FIXTURE_EXPECTATIONS = {
-    "k3_leak": "unidentifiable",
-    "four_edge_sc": "unidentifiable",
-    "cycle3_out3": "identifiable",
-    "cycle3_two_leaks": "identifiable",
-    "chorded_cycle3": "identifiable",
-    "chorded_cycle3_leaf": "identifiable",
-    "chorded_cycle3_leaf_out4": "identifiable",
-    "cat3_leak1": "identifiable",
-    "cat4_in4_leak1": "identifiable",
-    "cat2_in1_out2": "identifiable",
-}
-
 _SELFTEST_RANDOM_MODELS = 20
 _SELFTEST_RELATION_MODELS = 6
 
@@ -386,9 +373,10 @@ def _check_counts(m: Model, sides: Sides, failures: list):
 
 
 def _check_flip_equality(m: Model, failures: list):
+    codec = _Codec(param_vector(m))
     for i in m.compartments():
-        direct = forest_sums_by_size(strip_outgoing(m, i), pair=(i, i))
-        flipped = forest_sums_by_size(flip_into_leak(m, i))
+        direct = forest_buckets(strip_outgoing(m, i), codec, pair=(i, i))
+        flipped = forest_buckets(flip_into_leak(m, i), codec)
         if direct[:len(flipped)] != flipped:
             failures.append(f"flip sums differ at {i}: {model_to_dict(m)}")
 
@@ -400,6 +388,7 @@ def run_selftest(seed: int, trials: int) -> dict:
     failures: list[str] = []
     fixtures = {}
     ref = families.reference_models()
+    expected = families.reference_verdicts()
     for name in sorted(ref):
         m = ref[name]
         verdict = decide_identifiability(m, trials=trials, seed=seed)
@@ -410,9 +399,9 @@ def run_selftest(seed: int, trials: int) -> dict:
             "method": verdict.method,
             "rank": rank_verdict.rank_report.rank,
         }
-        if verdict.status != _FIXTURE_EXPECTATIONS[name]:
+        if verdict.status != expected[name]:
             failures.append(f"fixture {name}: verdict {verdict.status}")
-        if rank_verdict.status != _FIXTURE_EXPECTATIONS[name]:
+        if rank_verdict.status != expected[name]:
             failures.append(f"fixture {name}: rank verdict {rank_verdict.status}")
         _check_io_equivalence(m, failures)
 

@@ -15,90 +15,44 @@ and :func:`check_minor_identities` verifies the minor-determinant
 identities that relate a model to its leaf-edge extension.
 
 Determinants use Laplace expansion memoized over column subsets, which is
-division-free: O(n * 2^n) products of an entry with a minor.  The
-expansion runs on packed monomials (see :mod:`compident.poly`): every
-entry is a list of ``{code: coeff}`` dicts, one per power of lambda, and
-a product of two monomials is one integer addition.  For a model,
-:func:`det_lhs` and :func:`det_rhs` build the packed ``lambda*I - A``
-straight from its edges and leaks on the caller's one-bit codec (each
-parameter sits in one column, so no exponent exceeds 1) and return
-packed coefficients; a minor deletes a row and a column of it.
-:func:`io_equation` unpacks those.  :func:`char_lambda_poly` and
-:func:`minor_lambda_poly` take any :class:`~compident.graphs.SymMatrix`:
-its entries are packed once on a codec wide enough for their exponents
-and only the determinant is unpacked.  The test suite checks the
-expansion against a fraction-free (Bareiss) elimination.
+division-free: O(n * 2^n) products of an entry with a minor.  It runs
+on packed monomials (see :mod:`compident.poly`), where a product of two
+monomials is one integer addition.  Every determinant here, equation
+side or identity check, is a :func:`_minor` of the packed ``lambda*I - A``
+of :func:`~compident.graphs.compartmental_matrix` on a one-bit codec per
+model.  Minors and :func:`_combine` sums are trimmed lambda-lists, so an
+identity is ``==`` on lists.  :func:`io_equation` unpacks the equation
+sides.  The test suite checks the expansion against a fraction-free
+(Bareiss) elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Iterable, Mapping, Tuple
 
-from .graphs import SymMatrix, compartmental_matrix, star_matrix
+from .forests import forest_rhs
+from .graphs import LambdaList, compartmental_matrix
 from .model import Model, is_strongly_connected, param_vector
-from .poly import LambdaPoly, Param, Poly, _Codec
+from .poly import Poly, _Codec
 
 
-def _lambda_shifted(M: SymMatrix) -> list[list[LambdaPoly]]:
-    """Entries of lambda*I - M."""
-    n = M.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = -M.entries[i][j]
-            if i == j:
-                row.append(LambdaPoly([entry, Poly.one()]))
-            else:
-                row.append(LambdaPoly.from_poly(entry))
-        rows.append(row)
-    return rows
+def _trimmed(acc: list[dict[int, int]]) -> LambdaList:
+    """``acc`` without zero coefficients and empty top entries, so that
+    zero is the empty list and equal polynomials have equal lists."""
+    acc = [{code: v for code, v in d.items() if v} for d in acc]
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
 
 
-_ONE = LambdaPoly([Poly.one()])
-
-
-def _det_laplace(rows: list[list[LambdaPoly]]) -> LambdaPoly:
-    """Determinant of a square matrix of lambda-polynomials.
-
-    Every entry is packed once, the expansion runs on packed
-    lambda-lists (one ``{code: coeff}`` dict per power of lambda), and
-    the result is unpacked once.  The codec's exponent bound is, over
-    the parameters, the largest sum over the columns of the parameter's
-    top exponent in the column: a Laplace term takes one entry per
-    column, so no product it forms can exceed it.
-    """
-    n = len(rows)
-    if n == 0:
-        return _ONE
-    bound: dict[Param, int] = {}
-    for c in range(n):
-        top: dict[Param, int] = {}
-        for row in rows:
-            for coeff in row[c].coeffs:
-                for mono in coeff.terms:
-                    for p, e in mono:
-                        if e > top.get(p, 0):
-                            top[p] = e
-        for p, e in top.items():
-            bound[p] = bound.get(p, 0) + e
-    codec = _Codec(bound.keys(), max(bound.values(), default=1))
-    packed = [[[codec.pack(coeff) for coeff in entry.coeffs] for entry in row]
-              for row in rows]
-    det = _laplace(packed, tuple(range(n)), {})
-    return LambdaPoly([codec.unpack(d) for d in det])
-
-
-def _laplace(rows: list[list[list[dict[int, int]]]], cols: tuple[int, ...],
-             memo: dict[tuple[int, ...], list[dict[int, int]]]
-             ) -> list[dict[int, int]]:
+def _laplace(rows: list[list[LambdaList]], cols: tuple[int, ...],
+             memo: dict[tuple[int, ...], LambdaList]) -> LambdaList:
     """The minor on the last len(cols) rows and the given columns,
     expanded along its first row and memoized by column set.
 
-    Entries and minors are packed lambda-lists, the empty list being
-    zero; a minor keeps no zero coefficient and no zero top degree.
-    A module-level function and not a closure: a recursive closure
+    Entries and minors are trimmed packed lambda-lists (see
+    :func:`_trimmed`).  A module-level function and not a closure: a recursive closure
     refers to itself through its own cell, so its memo would live until
     the cyclic garbage collector ran.
     """
@@ -130,42 +84,34 @@ def _laplace(rows: list[list[list[dict[int, int]]]], cols: tuple[int, ...],
                     for cb, vb in b.items():
                         code = ca + cb
                         out[code] = get(code, 0) + va * vb
-    acc = [{code: v for code, v in d.items() if v} for d in acc]
-    while acc and not acc[-1]:
-        acc.pop()
+    acc = _trimmed(acc)
     memo[cols] = acc
     return acc
 
 
-def _delete(rows: list[list[LambdaPoly]], drop_rows: frozenset[int],
-            drop_cols: frozenset[int]) -> list[list[LambdaPoly]]:
-    # drop_* hold 1-based indices
-    return [[e for j, e in enumerate(row, start=1) if j not in drop_cols]
-            for i, row in enumerate(rows, start=1) if i not in drop_rows]
+def _minor(rows: list[list[LambdaList]], drop_rows: Iterable[int] = (),
+           drop_cols: Iterable[int] = ()) -> LambdaList:
+    """The determinant of ``rows`` without the given rows and columns
+    (1-based indices); the whole determinant when none is given."""
+    drop_rows, drop_cols = set(drop_rows), set(drop_cols)
+    kept = [[e for c, e in enumerate(row, start=1) if c not in drop_cols]
+            for r, row in enumerate(rows, start=1) if r not in drop_rows]
+    return _laplace(kept, tuple(range(len(kept))), {}) if kept else [{0: 1}]
 
 
-def char_lambda_poly(M: SymMatrix) -> LambdaPoly:
-    """``det(lambda*I - M)`` as an exact lambda-polynomial."""
-    return _det_laplace(_lambda_shifted(M))
-
-
-def minor_lambda_poly(M: SymMatrix, drop_row: int, drop_col: int) -> LambdaPoly:
-    """Determinant of ``lambda*I - M`` with one row and one column removed.
-
-    Row and column indices are 1-based; the lambda entries stay at their
-    original diagonal positions, so off-diagonal minors are genuinely
-    different from characteristic polynomials of submatrices.
-    """
-    n = M.n
-    if not (1 <= drop_row <= n and 1 <= drop_col <= n):
-        raise ValueError(f"minor indices out of range 1..{n}")
-    rows = _delete(_lambda_shifted(M), frozenset([drop_row]), frozenset([drop_col]))
-    return _det_laplace(rows)
-
-
-def _multi_minor(M: SymMatrix, drop_rows, drop_cols) -> LambdaPoly:
-    rows = _delete(_lambda_shifted(M), frozenset(drop_rows), frozenset(drop_cols))
-    return _det_laplace(rows)
+def _combine(terms: Iterable[tuple[int, int, int, LambdaList]]) -> LambdaList:
+    """The sum of ``lambda^k * x * s * f`` over the terms (k, x, s, f),
+    where x is a monomial code and s is +1 or -1, trimmed as
+    :func:`_laplace` trims a minor."""
+    acc: list[dict[int, int]] = []
+    for k, x, s, f in terms:
+        while len(acc) < k + len(f):
+            acc.append({})
+        for out, d in zip(acc[k:], f):
+            for code, v in d.items():
+                code += x
+                out[code] = out.get(code, 0) + s * v
+    return _trimmed(acc)
 
 
 @dataclass(frozen=True)
@@ -204,46 +150,18 @@ def io_equation(m: Model, out: int) -> IoEquation:
     return IoEquation(out, lhs, rhs)
 
 
-def _model_rows(m: Model, codec: _Codec) -> list[list[list[dict[int, int]]]]:
-    """lambda*I - A of the model, packed on ``codec``: entry (t, f) is
-    -a_tf for an edge f -> t, and the diagonal (j, j) is lambda plus
-    a_kj over the edges j -> k, plus a_0j for a leak."""
-    n = m.n
-    rows: list[list[list[dict[int, int]]]] = [[[] for _ in range(n)]
-                                              for _ in range(n)]
-    diag: list[dict[int, int]] = [{} for _ in range(n)]
-    for (f, t) in m.edges:
-        code = codec.var((t, f))
-        rows[t - 1][f - 1] = [{code: -1}]
-        diag[f - 1][code] = 1
-    for j in m.leaks:
-        diag[j - 1][codec.var((0, j))] = 1
-    for j in range(n):
-        rows[j][j] = [diag[j], {0: 1}]
-    return rows
-
-
-def _packed_det(rows: list[list[list[dict[int, int]]]]
-                ) -> list[dict[int, int]]:
-    return _laplace(rows, tuple(range(len(rows))), {}) if rows else [{0: 1}]
-
-
-def det_lhs(m: Model, codec: _Codec) -> list[dict[int, int]]:
+def det_lhs(m: Model, codec: _Codec) -> LambdaList:
     """``[c_0, ..., c_n]``, the coefficients of ``det(lambda*I - A)``,
     packed on ``codec``, a one-bit codec over the model's parameters."""
-    return _packed_det(_model_rows(m, codec))
+    return _minor(compartmental_matrix(m, codec))
 
 
-def det_rhs(m: Model, out: int, inp: int,
-            codec: _Codec) -> list[dict[int, int]]:
+def det_rhs(m: Model, out: int, inp: int, codec: _Codec) -> LambdaList:
     """The unsigned ``[d_0, ..., d_{n-1}]`` of one (output, input) pair:
     ``(-1)^(out+inp)`` times the coefficients of the minor of
     ``lambda*I - A`` without row ``inp`` and column ``out``, packed on
     ``codec``."""
-    rows = [[e for c, e in enumerate(row, start=1) if c != out]
-            for r, row in enumerate(_model_rows(m, codec), start=1)
-            if r != inp]
-    minor = _packed_det(rows)
+    minor = _minor(compartmental_matrix(m, codec), (inp,), (out,))
     if (out + inp) % 2:
         minor = [{code: -v for code, v in d.items()} for d in minor]
     return minor + [{} for _ in range(m.n - len(minor))]
@@ -271,17 +189,20 @@ def check_stripped_minor_identity(m: Model) -> int:
 
     Verifies, for all compartments i, j != 1 of any model, the equality
     ``lambda * det((lambda*I - A)^{{1,i},{1,j}}) = det((lambda*I - A*_1)^{i,j})``
-    where ``A*_1`` zeroes column 1.  Returns the number of (i, j) pairs
-    checked; raises :class:`IdentityCheckError` on any mismatch.
+    where ``A*_1`` zeroes column 1, so that column 1 of
+    ``lambda*I - A*_1`` is lambda times e_1.  Returns the number of
+    (i, j) pairs checked; raises :class:`IdentityCheckError` on any
+    mismatch.
     """
-    A = compartmental_matrix(m)
-    S = star_matrix(m, 1)
+    rows = compartmental_matrix(m, _Codec(param_vector(m)))
+    star = [[[{}, {0: 1}] if r == 0 else []] + row[1:]
+            for r, row in enumerate(rows)]
     count = 0
     for i in range(2, m.n + 1):
         for j in range(2, m.n + 1):
-            lhs = _multi_minor(A, (1, i), (1, j)).shift(1)
-            rhs = _multi_minor(S, (i,), (j,))
-            _require(lhs == rhs, f"stripped-minor i={i} j={j}")
+            lhs = _combine([(1, 0, 1, _minor(rows, (1, i), (1, j)))])
+            _require(lhs == _minor(star, (i,), (j,)),
+                     f"stripped-minor i={i} j={j}")
             count += 1
     return count
 
@@ -291,27 +212,22 @@ def check_minor_forest_signs(m: Model) -> int:
 
     For every (r, q) the coefficients of ``det((lambda*I - A)^{r,q})``
     must equal ``(-1)^(q+r)`` times the pair-restricted forest sums of the
-    graph stripped at q.  Returns the number of pairs checked.
+    graph stripped at q: :func:`det_rhs` of output q and input r equals
+    :func:`~compident.forests.forest_rhs` of the same pair, on one codec.
+    Returns the number of pairs checked.
     """
-    from .forests import forest_sums_by_size
-    from .graphs import strip_outgoing
-
-    A = compartmental_matrix(m)
+    codec = _Codec(param_vector(m))
     n = m.n
     count = 0
     for q in range(1, n + 1):
         for r in range(1, n + 1):
-            minor = minor_lambda_poly(A, r, q)
-            sums = forest_sums_by_size(strip_outgoing(m, q), pair=(r, q))
-            sign = -1 if (q + r) % 2 else 1
-            for k in range(n):
-                _require(minor.coeff(k).scale(sign) == sums[n - k - 1],
-                         f"minor-forest-sign r={r} q={q} k={k}")
+            _require(det_rhs(m, q, r, codec) == forest_rhs(m, q, r, codec),
+                     f"minor-forest-sign r={r} q={q}")
             count += 1
     return count
 
 
-def check_leaf_edge_identities(m: Model) -> LambdaPoly:
+def check_leaf_edge_identities(m: Model) -> LambdaList:
     """Verify identities 1-3 tying m to its leaf-edge extension at 1.
 
     A new compartment n is attached to compartment 1 of the leakless
@@ -323,26 +239,29 @@ def check_leaf_edge_identities(m: Model) -> LambdaPoly:
     2. det((lI - B)^{1,n}) = (-1)^(n-1) * a_n1 * det((lI - A)^{1,1})
     3. det((lI - B)^{n,1}) = (-1)^(n-1) * a_1n * det((lI - A)^{1,1})
 
-    Returns det(lI - B); raises :class:`IdentityCheckError` on any failure.
+    Returns det(lI - B) packed on the one codec of both matrices, over
+    ``param_vector(add_leaf_edge(m, 1).model)``; raises
+    :class:`IdentityCheckError` on any failure.
     """
     from .transforms import add_leaf_edge
 
-    n = m.n + 1
-    A = compartmental_matrix(m)
-    B = compartmental_matrix(add_leaf_edge(m, 1).model)
-    det_a = char_lambda_poly(A)
-    det_b = char_lambda_poly(B)
-    minor_a11 = minor_lambda_poly(A, 1, 1)
-    a_1n = Poly.var((1, n))
-    a_n1 = Poly.var((n, 1))
+    extended = add_leaf_edge(m, 1).model
+    n = extended.n
+    codec = _Codec(param_vector(extended))
+    rows_a = compartmental_matrix(m, codec)
+    rows_b = compartmental_matrix(extended, codec)
+    det_a = _minor(rows_a)
+    det_b = _minor(rows_b)
+    minor_a11 = _minor(rows_a, (1,), (1,))
+    a_1n, a_n1 = codec.var((1, n)), codec.var((n, 1))
     sign = 1 if (n - 1) % 2 == 0 else -1
 
-    _require(det_b == det_a.shift(1) + det_a.scale(a_1n)
-             + minor_a11.scale(a_n1).shift(1), "leaf-edge-char")
-    _require(minor_lambda_poly(B, 1, n) == minor_a11.scale(a_n1.scale(sign)),
-             "leaf-edge-minor-1n")
-    _require(minor_lambda_poly(B, n, 1) == minor_a11.scale(a_1n.scale(sign)),
-             "leaf-edge-minor-n1")
+    _require(det_b == _combine([(1, 0, 1, det_a), (0, a_1n, 1, det_a),
+                                (1, a_n1, 1, minor_a11)]), "leaf-edge-char")
+    _require(_minor(rows_b, (1,), (n,))
+             == _combine([(0, a_n1, sign, minor_a11)]), "leaf-edge-minor-1n")
+    _require(_minor(rows_b, (n,), (1,))
+             == _combine([(0, a_1n, sign, minor_a11)]), "leaf-edge-minor-n1")
     return det_b
 
 

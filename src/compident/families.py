@@ -144,31 +144,47 @@ def reference_models() -> dict[str, Model]:
     without a data directory; the repository's ``fixtures/`` JSON files
     mirror these definitions byte for byte.
     """
+    return {name: m for name, (m, _verdict) in _reference_corpus().items()}
+
+
+def reference_verdicts() -> dict[str, str]:
+    """The expected verdict of each reference model, by name; the
+    repository's ``fixtures/manifest.json`` repeats them."""
+    return {name: verdict
+            for name, (_m, verdict) in _reference_corpus().items()}
+
+
+def _reference_corpus() -> dict[str, tuple[Model, str]]:
+    """Each reference model with its expected verdict."""
     k3 = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+    cycle = [(1, 2), (2, 3), (3, 1)]
     chord = [(1, 2), (2, 1), (2, 3), (3, 1)]
     chord_leaf = chord + [(1, 4), (4, 1)]
+    yes, no = "identifiable", "unidentifiable"
     return {
         # complete bidirectional triangle, one leak: more parameters than
         # coefficients, the canonical unidentifiable example
-        "k3_leak": Model.create(3, k3, [1], [1], [2]),
+        "k3_leak": (Model.create(3, k3, [1], [1], [2]), no),
         # 4 edges on 3 compartments, input=output: the counting bound is
         # tight yet the model is still unidentifiable (rank drops)
-        "four_edge_sc": Model.create(3, [(1, 2), (2, 3), (3, 2), (3, 1)], [1], [1]),
+        "four_edge_sc": (Model.create(3, [(1, 2), (2, 3), (3, 2), (3, 1)],
+                                      [1], [1]), no),
         # one-way 3-cycle, output two steps downstream: identifiable
-        "cycle3_out3": Model.create(3, [(1, 2), (2, 3), (3, 1)], [1], [3]),
+        "cycle3_out3": (Model.create(3, cycle, [1], [3]), yes),
         # one-way 3-cycle with two leaks: identifiable
-        "cycle3_two_leaks": Model.create(3, [(1, 2), (2, 3), (3, 1)], [1], [2], [1, 2]),
+        "cycle3_two_leaks": (Model.create(3, cycle, [1], [2], [1, 2]), yes),
         # 3-cycle with a chord, input=output=1: identifiable
-        "chorded_cycle3": Model.create(3, chord, [1], [1]),
+        "chorded_cycle3": (Model.create(3, chord, [1], [1]), yes),
         # same graph with a leaf edge 1<->4 added, output kept at 1
-        "chorded_cycle3_leaf": Model.create(4, chord_leaf, [1], [1]),
+        "chorded_cycle3_leaf": (Model.create(4, chord_leaf, [1], [1]), yes),
         # leaf edge added and output moved to the new compartment
-        "chorded_cycle3_leaf_out4": Model.create(4, chord_leaf, [1], [4]),
+        "chorded_cycle3_leaf_out4": (Model.create(4, chord_leaf, [1], [4]),
+                                     yes),
         # 3-compartment catenary with input, output and leak at 1
-        "cat3_leak1": catenary(3, [1], [1], [1]),
+        "cat3_leak1": (catenary(3, [1], [1], [1]), yes),
         # catenary extended by a leaf at 1, input moved to the new leaf
-        "cat4_in4_leak1": Model.create(
-            4, _bidirect([(1, 2), (2, 3), (1, 4)]), [4], [1], [1]),
+        "cat4_in4_leak1": (Model.create(
+            4, _bidirect([(1, 2), (2, 3), (1, 4)]), [4], [1], [1]), yes),
         # 2-compartment exchange with input and output split
-        "cat2_in1_out2": catenary(2, [1], [2]),
+        "cat2_in1_out2": (catenary(2, [1], [2]), yes),
     }

@@ -1,4 +1,4 @@
-"""Auxiliary graphs and symbolic compartmental matrices.
+"""Auxiliary graphs and the packed compartmental matrix.
 
 From a model three derived graphs are built, all sharing the virtual leak
 node 0:
@@ -13,9 +13,11 @@ node 0:
   so this is the only one of the three allowed to be a multigraph; the
   parallel edges keep their distinct labels.
 
-The symbolic compartmental matrix A has ``a_ij`` at entry (i, j) for each
-edge j -> i, and diagonal entries that balance each column: column i sums
-to ``-a_0i`` when i leaks and to zero otherwise.
+The compartmental matrix A has ``a_ij`` at entry (i, j) for each edge
+j -> i, and diagonal entries that balance each column: column i sums to
+``-a_0i`` when i leaks and to zero otherwise.  :func:`compartmental_matrix`
+builds ``lambda*I - A`` on packed monomials (see :mod:`compident.poly`),
+the one matrix the determinant route expands.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .model import Model
-from .poly import Param, Poly
+from .poly import Param, _Codec
 
 # A labelled directed edge (source, target, label).  Edge identity within
 # an AuxGraph is positional, which keeps parallel edges distinct.
@@ -103,51 +105,29 @@ def flip_into_leak(m: Model, i: int) -> AuxGraph:
 
 
 # ---------------------------------------------------------------------
-# Symbolic matrices
+# The packed compartmental matrix
+
+# A packed lambda-list: one ``{code: coeff}`` dict per power of lambda,
+# the empty list being zero.
+LambdaList = list[dict[int, int]]
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """A square matrix of polynomials, indexed 1..n like the compartments."""
-
-    entries: tuple[tuple[Poly, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i - 1][j - 1]
-
-
-def compartmental_matrix(m: Model) -> SymMatrix:
-    """The n x n compartmental matrix A of the model.
-
-    Off-diagonal (i, j) holds ``a_ij`` when j -> i is an edge, zero
-    otherwise.  Diagonal (i, i) holds ``-a_0i`` (if i leaks) minus the sum
-    of ``a_ki`` over edges i -> k, so each column sums to ``-a_0i`` for
-    leak columns and to zero otherwise.
+def compartmental_matrix(m: Model, codec: _Codec) -> list[list[LambdaList]]:
+    """``lambda*I - A`` of the model, packed on ``codec``: entry (t, f),
+    at ``rows[t-1][f-1]``, is ``-a_tf`` for an edge f -> t, and (f, f) is
+    lambda plus ``a_kf`` over the edges f -> k, plus ``a_0f`` for a leak.
+    Each parameter sits in one column, so a one-bit codec over the model's
+    parameters holds every product of a Laplace expansion.
     """
     n = m.n
-    grid = [[Poly.zero() for _ in range(n)] for _ in range(n)]
-    for i in m.compartments():
-        diag = Poly.zero()
-        if i in m.leaks:
-            diag = diag - Poly.var((0, i))
-        for k in m.out_neighbors(i):
-            diag = diag - Poly.var((k, i))
-        grid[i - 1][i - 1] = diag
-    for (f, t) in m.sorted_edges():
-        grid[t - 1][f - 1] = Poly.var((t, f))
-    return SymMatrix(tuple(tuple(row) for row in grid))
-
-
-def star_matrix(m: Model, i: int) -> SymMatrix:
-    """The compartmental matrix with column i replaced by zeros."""
-    if not (1 <= i <= m.n):
-        raise ValueError(f"compartment {i} out of range 1..{m.n}")
-    base = compartmental_matrix(m)
-    grid = [list(row) for row in base.entries]
-    for r in range(m.n):
-        grid[r][i - 1] = Poly.zero()
-    return SymMatrix(tuple(tuple(row) for row in grid))
+    rows: list[list[LambdaList]] = [[[] for _ in range(n)] for _ in range(n)]
+    diag: list[dict[int, int]] = [{} for _ in range(n)]
+    for (f, t) in m.edges:
+        code = codec.var((t, f))
+        rows[t - 1][f - 1] = [{code: -1}]
+        diag[f - 1][code] = 1
+    for j in m.leaks:
+        diag[j - 1][codec.var((0, j))] = 1
+    for j in range(n):
+        rows[j][j] = [diag[j], {0: 1}]
+    return rows

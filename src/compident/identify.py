@@ -31,8 +31,8 @@ once per trial for a group of maps that differ only in placement; v is
 packed once per output and w once per input.  Which coefficients are
 non-constant is read off the graph (forest sizes, terminal components
 and the input-to-output distance) in O(n + e), once per group by
-:func:`coefficient_maps`.  The forest polynomials themselves
-(:attr:`CoefficientMap.entries`) are only expanded on request.
+:func:`coefficient_maps`.  No verdict expands a polynomial; the forest
+sums of :attr:`CoefficientMap.entries` serve tests and reference digests.
 
 Rank at a generic point is computed by evaluating the Jacobian at random
 points over large prime fields.  Rank at any concrete point is a lower

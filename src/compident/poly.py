@@ -25,14 +25,9 @@ parameter on top, two monomials of one degree stand in canonical text
 order exactly when their codes stand in descending order, so the text is
 rendered straight from the codes: sort by (degree, code) descending and
 name each factor by its field.  ``Poly.text`` packs and then renders, so
-there is one renderer.
-
-``LambdaPoly`` wraps a dense vector of :class:`Poly` coefficients indexed
-by the degree of an extra distinguished variable ``lambda``, which stands
-for the differentiation operator d/dt when input-output equations are
-written in operator form.  Its degree is bounded by the matrix size, so a
-dense representation is the right shape (the parameter monomials stay
-sparse).
+there is one renderer.  A polynomial in lambda, which stands for the
+differentiation operator d/dt, is a list of such dicts, one per power of
+lambda (a "lambda-list"; see :func:`compident.graphs.compartmental_matrix`).
 
 ``FieldPoint`` assigns every parameter a nonzero residue modulo a large
 prime; the generic-rank computation evaluates the compartmental matrix at
@@ -321,101 +316,3 @@ class FieldPoint:
     @staticmethod
     def random(params: Sequence[Param], prime: int, rng: random.Random) -> "FieldPoint":
         return FieldPoint(prime, {p: rng.randrange(1, prime) for p in params})
-
-
-class LambdaPoly:
-    """Polynomial in lambda with :class:`Poly` coefficients (dense in lambda)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Poly] = ()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs: tuple[Poly, ...] = tuple(cs)
-
-    @staticmethod
-    def zero() -> "LambdaPoly":
-        return LambdaPoly()
-
-    @staticmethod
-    def from_poly(p: Poly) -> "LambdaPoly":
-        return LambdaPoly([p])
-
-    @staticmethod
-    def lam() -> "LambdaPoly":
-        """The bare lambda variable."""
-        return LambdaPoly([Poly.zero(), Poly.one()])
-
-    def coeff(self, k: int) -> Poly:
-        """Coefficient of lambda^k (zero beyond the degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Poly.zero()
-
-    def degree(self) -> int:
-        """Lambda-degree; -1 for the zero element."""
-        return len(self.coeffs) - 1
-
-    def leading(self) -> Poly:
-        return self.coeffs[-1] if self.coeffs else Poly.zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return LambdaPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
-        if not self.coeffs or not other.coeffs:
-            return LambdaPoly()
-        out = [Poly.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return LambdaPoly(out)
-
-    def scale(self, p: Poly) -> "LambdaPoly":
-        return LambdaPoly([c * p for c in self.coeffs])
-
-    def shift(self, k: int = 1) -> "LambdaPoly":
-        """Multiply by lambda^k."""
-        if not self.coeffs:
-            return self
-        return LambdaPoly([Poly.zero()] * k + list(self.coeffs))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LambdaPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def text(self, var: str = "L") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree(), -1, -1):
-            c = self.coeff(k)
-            if not c:
-                continue
-            if k == 0:
-                parts.append(c.text())
-            else:
-                v = var if k == 1 else f"{var}^{k}"
-                parts.append(v if c == Poly.one() else f"({c.text()})*{v}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LambdaPoly({self.text()})"
-

@@ -19,13 +19,14 @@ from typing import Iterator, Optional, Tuple
 
 import pytest
 
+from compident.determinant import _laplace
 from compident.forests import forest_sums_by_size, lhs_coefficients, \
     rhs_coefficients
 from compident.graphs import AuxGraph, flip_into_leak
 from compident.identify import RankReport, TrialResult, _Point
 from compident.model import Model
-from compident.poly import PRIMES, FieldPoint, LambdaPoly, Monomial, Param, \
-    Poly, param_name
+from compident.poly import PRIMES, FieldPoint, Monomial, Param, Poly, \
+    _Codec, param_name
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -498,6 +499,211 @@ def reference_text(poly: Poly) -> str:
 
 
 # ---------------------------------------------------------------------
+# unpacked determinant oracles: lambda-polynomials with Poly coefficients,
+# the Poly compartmental matrix, and determinants of its minors
+
+
+class LambdaPoly:
+    """Polynomial in lambda with :class:`Poly` coefficients (dense in lambda)."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs: tuple[Poly, ...] = tuple(cs)
+
+    @staticmethod
+    def zero() -> "LambdaPoly":
+        return LambdaPoly()
+
+    @staticmethod
+    def from_poly(p: Poly) -> "LambdaPoly":
+        return LambdaPoly([p])
+
+    @staticmethod
+    def lam() -> "LambdaPoly":
+        """The bare lambda variable."""
+        return LambdaPoly([Poly.zero(), Poly.one()])
+
+    def coeff(self, k: int) -> Poly:
+        """Coefficient of lambda^k (zero beyond the degree)."""
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return Poly.zero()
+
+    def degree(self) -> int:
+        """Lambda-degree; -1 for the zero element."""
+        return len(self.coeffs) - 1
+
+    def leading(self) -> Poly:
+        return self.coeffs[-1] if self.coeffs else Poly.zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return LambdaPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
+
+    def __neg__(self) -> "LambdaPoly":
+        return LambdaPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
+        if not self.coeffs or not other.coeffs:
+            return LambdaPoly()
+        out = [Poly.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if not b:
+                    continue
+                out[i + j] = out[i + j] + a * b
+        return LambdaPoly(out)
+
+    def scale(self, p: Poly) -> "LambdaPoly":
+        return LambdaPoly([c * p for c in self.coeffs])
+
+    def shift(self, k: int = 1) -> "LambdaPoly":
+        """Multiply by lambda^k."""
+        if not self.coeffs:
+            return self
+        return LambdaPoly([Poly.zero()] * k + list(self.coeffs))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LambdaPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def text(self, var: str = "L") -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k in range(self.degree(), -1, -1):
+            c = self.coeff(k)
+            if not c:
+                continue
+            if k == 0:
+                parts.append(c.text())
+            else:
+                v = var if k == 1 else f"{var}^{k}"
+                parts.append(v if c == Poly.one() else f"({c.text()})*{v}")
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"LambdaPoly({self.text()})"
+
+
+@dataclass(frozen=True)
+class SymMatrix:
+    """A square matrix of polynomials, indexed 1..n like the compartments."""
+
+    entries: tuple[tuple[Poly, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    def entry(self, i: int, j: int) -> Poly:
+        return self.entries[i - 1][j - 1]
+
+
+def poly_matrix(m: Model) -> SymMatrix:
+    """The n x n compartmental matrix A of the model, with Poly entries.
+
+    Off-diagonal (i, j) holds ``a_ij`` when j -> i is an edge, zero
+    otherwise.  Diagonal (i, i) holds ``-a_0i`` (if i leaks) minus the sum
+    of ``a_ki`` over edges i -> k, so each column sums to ``-a_0i`` for
+    leak columns and to zero otherwise.
+    """
+    n = m.n
+    grid = [[Poly.zero() for _ in range(n)] for _ in range(n)]
+    for i in m.compartments():
+        diag = Poly.zero()
+        if i in m.leaks:
+            diag = diag - Poly.var((0, i))
+        for k in m.out_neighbors(i):
+            diag = diag - Poly.var((k, i))
+        grid[i - 1][i - 1] = diag
+    for (f, t) in m.sorted_edges():
+        grid[t - 1][f - 1] = Poly.var((t, f))
+    return SymMatrix(tuple(tuple(row) for row in grid))
+
+
+def star_matrix(m: Model, i: int) -> SymMatrix:
+    """The compartmental matrix with column i replaced by zeros."""
+    if not (1 <= i <= m.n):
+        raise ValueError(f"compartment {i} out of range 1..{m.n}")
+    grid = [list(row) for row in poly_matrix(m).entries]
+    for r in range(m.n):
+        grid[r][i - 1] = Poly.zero()
+    return SymMatrix(tuple(tuple(row) for row in grid))
+
+
+def lambda_shifted(M: SymMatrix) -> list[list[LambdaPoly]]:
+    """Entries of lambda*I - M."""
+    return [[LambdaPoly([-e, Poly.one()]) if i == j else LambdaPoly([-e])
+             for j, e in enumerate(row)] for i, row in enumerate(M.entries)]
+
+
+def det_laplace(rows: list[list[LambdaPoly]]) -> LambdaPoly:
+    """Determinant of a square matrix of lambda-polynomials by the
+    package's kernel, ``determinant._laplace``.
+
+    Every entry is packed once, on a codec whose exponent bound is, over
+    the parameters, the largest sum over the columns of the parameter's
+    top exponent in the column: a Laplace term takes one entry per
+    column, so no product it forms can exceed it.  The result is
+    unpacked once.
+    """
+    n = len(rows)
+    if n == 0:
+        return LambdaPoly([Poly.one()])
+    bound: dict[Param, int] = {}
+    for c in range(n):
+        top: dict[Param, int] = {}
+        for row in rows:
+            for coeff in row[c].coeffs:
+                for mono in coeff.terms:
+                    for p, e in mono:
+                        if e > top.get(p, 0):
+                            top[p] = e
+        for p, e in top.items():
+            bound[p] = bound.get(p, 0) + e
+    codec = _Codec(bound.keys(), max(bound.values(), default=1))
+    packed = [[[codec.pack(coeff) for coeff in entry.coeffs] for entry in row]
+              for row in rows]
+    det = _laplace(packed, tuple(range(n)), {})
+    return LambdaPoly([codec.unpack(d) for d in det])
+
+
+def char_lambda_poly(M: SymMatrix) -> LambdaPoly:
+    """``det(lambda*I - M)`` as an exact lambda-polynomial."""
+    return det_laplace(lambda_shifted(M))
+
+
+def minor_lambda_poly(M: SymMatrix, drop_row: int, drop_col: int) -> LambdaPoly:
+    """Determinant of ``lambda*I - M`` with one row and one column removed.
+
+    Row and column indices are 1-based; the lambda entries stay at their
+    original diagonal positions, so off-diagonal minors are genuinely
+    different from characteristic polynomials of submatrices.
+    """
+    n = M.n
+    if not (1 <= drop_row <= n and 1 <= drop_col <= n):
+        raise ValueError(f"minor indices out of range 1..{n}")
+    return det_laplace([[e for j, e in enumerate(row, start=1) if j != drop_col]
+                        for i, row in enumerate(lambda_shifted(M), start=1)
+                        if i != drop_row])
+
+
+# ---------------------------------------------------------------------
 # determinant oracle: fraction-free (Bareiss) elimination with exact
 # polynomial division, which raises if a division is not exact
 
@@ -644,6 +850,19 @@ def eval_mod(poly: Poly, point: FieldPoint) -> int:
             t = t * (v if e == 1 else pow(v, e, p)) % p
         total = (total + t) % p
     return total
+
+
+def dropping_a_term(original, when):
+    """``original`` with the first term of its top nonzero coefficient
+    left out of the result, for the calls that ``when`` picks; for
+    wrapping a function that returns a packed lambda-list."""
+    def patched(*args, **kwargs):
+        coeffs = [dict(d) for d in original(*args, **kwargs)]
+        if when(*args, **kwargs):
+            top = next(d for d in reversed(coeffs) if d)
+            del top[next(iter(top))]
+        return coeffs
+    return patched
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

@@ -25,7 +25,8 @@ from compident.graphs import leak_augmented
 from compident.identify import coefficient_map, generic_rank
 from compident.model import load_model
 
-from conftest import FIXTURES_DIR, count_calls, reference_text
+from conftest import FIXTURES_DIR, count_calls, dropping_a_term, mk, \
+    reference_text
 
 with open(os.path.join(FIXTURES_DIR, "manifest.json")) as fh:
     MANIFEST = json.load(fh)
@@ -374,18 +375,6 @@ def test_coeffs_builds_no_poly(monkeypatch, capsys, several_io):
     assert built == []
 
 
-def _dropping_a_term(original, when):
-    # the route's result with the first term of its top nonzero
-    # coefficient left out, for the calls that ``when`` picks
-    def patched(*args):
-        coeffs = [dict(d) for d in original(*args)]
-        if when(*args):
-            top = next(d for d in reversed(coeffs) if d)
-            del top[next(iter(top))]
-        return coeffs
-    return patched
-
-
 @pytest.mark.parametrize("name,when,bad", [
     ("det_rhs", lambda m, out, inp, codec: out == 2, 2),
     ("det_lhs", lambda m, codec: True, 1),
@@ -393,7 +382,7 @@ def _dropping_a_term(original, when):
 ])
 def test_coeffs_reports_disagreeing_routes(monkeypatch, capsys, several_io,
                                            name, when, bad):
-    monkeypatch.setattr(cli, name, _dropping_a_term(getattr(cli, name), when))
+    monkeypatch.setattr(cli, name, dropping_a_term(getattr(cli, name), when))
     code, out, err = run_cli(capsys, "coeffs", several_io, "--method", "both",
                              "--json")
     assert code == EXIT_INTERNAL
@@ -406,7 +395,7 @@ def test_coeffs_reports_disagreeing_routes(monkeypatch, capsys, several_io,
 
 
 def test_selftest_reports_disagreeing_routes(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "det_lhs", _dropping_a_term(
+    monkeypatch.setattr(cli, "det_lhs", dropping_a_term(
         cli.det_lhs, lambda m, codec: True))
     code, out, _ = run_cli(capsys, "selftest", "--json")
     assert code == EXIT_INTERNAL
@@ -414,6 +403,18 @@ def test_selftest_reports_disagreeing_routes(monkeypatch, capsys):
     assert doc["ok"] is False
     assert doc["failures"]
     assert all(f.startswith("io mismatch: ") for f in doc["failures"])
+
+
+def test_flip_check_reports_a_dropped_forest(monkeypatch):
+    # the flipped multigraph's forests lose one: the selftest's flip
+    # check must name the compartment
+    monkeypatch.setattr(cli, "forest_buckets", dropping_a_term(
+        cli.forest_buckets, lambda g, codec, pair=None: g.allows_multi_edges))
+    m = mk(3, [(1, 2), (2, 3), (3, 1)], [1], [1], [2])
+    failures = []
+    cli._check_flip_equality(m, failures)
+    assert [f.split(":")[0] for f in failures] \
+        == [f"flip sums differ at {i}" for i in (1, 2, 3)]
 
 
 def test_analyze_counts_the_left_side_once(capsys, tmp_path):
@@ -618,7 +619,7 @@ def test_python_m_runs_the_cli(capsys, fixtures_dir):
 
 
 def test_fixture_files_match_builtin_corpus(fixtures_dir):
-    from compident.families import reference_models
+    from compident.families import reference_models, reference_verdicts
     from compident.model import load_model, serialize_model
     manifest = json.load(open(os.path.join(fixtures_dir, "manifest.json")))
     ref = reference_models()
@@ -628,4 +629,4 @@ def test_fixture_files_match_builtin_corpus(fixtures_dir):
         assert load_model(path) == ref[name]
         assert open(path).read().strip() == serialize_model(ref[name])
     assert {name: meta["expected_verdict"] for name, meta in manifest.items()} \
-        == cli._FIXTURE_EXPECTATIONS
+        == reference_verdicts()

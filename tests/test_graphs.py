@@ -1,4 +1,4 @@
-"""Auxiliary graph constructions and symbolic matrices."""
+"""Auxiliary graph constructions and the packed compartmental matrix."""
 
 import random
 
@@ -11,12 +11,13 @@ from compident.graphs import (
     compartmental_matrix,
     flip_into_leak,
     leak_augmented,
-    star_matrix,
     strip_outgoing,
 )
-from compident.poly import Poly
+from compident.model import param_vector
+from compident.poly import Poly, _Codec
 
-from conftest import mk, to_dot
+from conftest import SymMatrix, lambda_shifted, mk, poly_matrix, \
+    star_matrix, to_dot
 
 FIG1 = reference_models()["k3_leak"]
 
@@ -119,8 +120,28 @@ def v(i, j):
     return Poly.var((i, j))
 
 
+def packed_matrix(m) -> SymMatrix:
+    """A read back off the packed lambda*I - A: entry (i, j) is minus
+    its lambda^0 coefficient, and its lambda^1 coefficient must be 1 on
+    the diagonal and 0 off it."""
+    codec = _Codec(param_vector(m))
+    rows = compartmental_matrix(m, codec)
+    assert len(rows) == m.n
+    entries = []
+    for i, row in enumerate(rows):
+        assert len(row) == m.n
+        for j, e in enumerate(row):
+            if i == j:
+                assert len(e) == 2 and codec.unpack(e[1]) == Poly.one()
+            else:
+                assert e == [] or len(e) == 1 and e[0]
+        entries.append(tuple(-codec.unpack(e[0]) if e else Poly.zero()
+                             for e in row))
+    return SymMatrix(tuple(entries))
+
+
 def test_compartmental_matrix_triangle():
-    A = compartmental_matrix(FIG1)
+    A = packed_matrix(FIG1)
     assert A.entry(1, 1) == -(v(2, 1) + v(3, 1))
     assert A.entry(2, 2) == -(v(0, 2) + v(1, 2) + v(3, 2))
     assert A.entry(3, 3) == -(v(1, 3) + v(2, 3))
@@ -133,12 +154,12 @@ def test_compartmental_matrix_triangle():
 
 
 def test_compartmental_matrix_edgeless_is_zero():
-    A = compartmental_matrix(mk(2, [], [1], [1]))
+    A = packed_matrix(mk(2, [], [1], [1]))
     assert all(not A.entry(i, j) for i in (1, 2) for j in (1, 2))
 
 
 def test_compartmental_matrix_leak_only_is_diagonal():
-    A = compartmental_matrix(mk(2, [], [1], [1], [1, 2]))
+    A = packed_matrix(mk(2, [], [1], [1], [1, 2]))
     assert A.entry(1, 1) == -v(0, 1)
     assert A.entry(2, 2) == -v(0, 2)
     assert not A.entry(1, 2) and not A.entry(2, 1)
@@ -148,27 +169,39 @@ def test_star_matrix_zeroes_column():
     S = star_matrix(FIG1, 1)
     for r in (1, 2, 3):
         assert not S.entry(r, 1)
-    assert S.entry(2, 2) == compartmental_matrix(FIG1).entry(2, 2)
+    assert S.entry(2, 2) == poly_matrix(FIG1).entry(2, 2)
     assert S.entry(1, 2) == v(1, 2)
 
 
 def test_star_matrix_equals_matrix_of_stripped_model():
     # when i has no leak and no outgoing edges, zeroing column i changes nothing
     m = mk(3, [(2, 1), (2, 3), (3, 2)], [2], [1])
-    assert star_matrix(m, 1).entries == compartmental_matrix(m).entries
+    assert star_matrix(m, 1).entries == poly_matrix(m).entries
 
 
 def test_column_sums():
     rng = random.Random(22)
     for _ in range(10):
         m = random_strongly_connected_model(rng, rng.randrange(2, 6))
-        A = compartmental_matrix(m)
+        A = packed_matrix(m)
         for j in m.compartments():
             col_sum = Poly.zero()
             for i in m.compartments():
                 col_sum = col_sum + A.entry(i, j)
             expected = -v(0, j) if j in m.leaks else Poly.zero()
             assert col_sum == expected
+
+
+def test_compartmental_matrix_packs_the_poly_matrix():
+    # the packed builder against the Poly oracle, entry by entry
+    rng = random.Random(23)
+    for _ in range(10):
+        m = random_strongly_connected_model(rng, rng.randrange(1, 6))
+        codec = _Codec(param_vector(m))
+        want = lambda_shifted(poly_matrix(m))
+        got = compartmental_matrix(m, codec)
+        assert [[[codec.unpack(d) for d in e] for e in row] for row in got] \
+            == [[list(e.coeffs) for e in row] for row in want]
 
 
 def test_to_dot_mentions_labels():

@@ -9,13 +9,12 @@ from compident.families import reference_models
 from compident.poly import (
     PRIMES,
     FieldPoint,
-    LambdaPoly,
     Poly,
     _Codec,
 )
 
-from conftest import InexactDivision, eval_mod, lambda_exact_div, \
-    partial_derivative, poly_exact_div, reference_text
+from conftest import InexactDivision, LambdaPoly, eval_mod, \
+    lambda_exact_div, partial_derivative, poly_exact_div, reference_text
 
 A02, A12, A13, A21, A23, A31, A32 = \
     (0, 2), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)

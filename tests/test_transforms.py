@@ -25,6 +25,7 @@ from compident.transforms import (
     KIND_ADD_LEAF,
     KIND_ADD_LEAF_MOVE_IN,
     KIND_ADD_LEAF_MOVE_OUT,
+    RankRelationError,
     Transform,
     add_leaf_edge,
     add_leaf_move_input,
@@ -208,6 +209,19 @@ def test_rank_relation_random_corpus():
             report = verify_rank_relation(m, Transform(kind, at), trials=2)
             assert report["rank_after"] == report["rank_before"] + 2
             assert "char_recurrence" in report["relations"]
+
+
+def test_rank_relation_catches_a_nonzero_c0(monkeypatch):
+    # c*_0 is read off the packed det(lI - B) that the leaf-edge check
+    # returns; a constant term there must be reported
+    from compident import determinant
+
+    original = determinant.check_leaf_edge_identities
+    monkeypatch.setattr(determinant, "check_leaf_edge_identities",
+                        lambda m: [{0: 1}] + original(m)[1:])
+    with pytest.raises(RankRelationError, match=r"c\*_0"):
+        verify_rank_relation(REF["chorded_cycle3"],
+                             Transform(KIND_ADD_LEAF_MOVE_OUT, 1))
 
 
 def test_rank_relation_preconditions():
