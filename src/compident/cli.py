@@ -13,6 +13,7 @@ JSON output is byte-identical between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -506,10 +507,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser every :func:`main` call of the process parses with.
+
+    Built on the first call rather than at import, so importing costs
+    nothing more; parsing leaves the parser unchanged, so no option of one
+    call carries over into the next.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

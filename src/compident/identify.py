@@ -24,15 +24,31 @@ its own N K, which has one row per right-side coefficient and one column
 per kernel vector, and which is formed by combining the products ``w v``,
 packed into single integers, with the entries of K before any
 coefficient is read.  No right-side row is reduced against L.  A trial
-of one map costs O(n^4 + k n^2) for k parameters.  The point, the
-adjugate at it, L and K depend on the graph and the leaks alone, not on
-where inputs and outputs sit, so :func:`generic_ranks` evaluates them
-once per trial for a group of maps that differ only in placement; v is
-packed once per output and w once per input.  Which coefficients are
-non-constant is read off the graph (forest sizes, terminal components
-and the input-to-output distance) in O(n + e), once per group by
-:func:`coefficient_maps`.  No verdict expands a polynomial; the forest
-sums of :attr:`CoefficientMap.entries` serve tests and reference digests.
+of one map costs O(n^4 + k n^2) residue operations for k parameters.
+The point, the adjugate at it, L and K depend on the graph and the leaks
+alone, not on where inputs and outputs sit, so :func:`generic_ranks`
+evaluates them once per trial for a group of maps that differ only in
+placement; v is packed once per output and w once per input.  Which
+coefficients are non-constant is read off the graph (forest sizes,
+terminal components and the input-to-output distance) in O(n + e), once
+per group by :func:`coefficient_maps`.  No verdict expands a polynomial;
+the forest sums of :attr:`CoefficientMap.entries` serve tests and
+reference digests.
+
+The arithmetic mod p runs on whole rows at once (:class:`_Lanes`): a row
+of residues is packed into one integer, entry i in the s-bit slot at bit
+s*i, so a row of A M is the sum of a M_j over the nonzeros a of a row of
+A, and a step of the elimination is ``pv r + (p - f) b``, each a handful
+of big-integer operations instead of one operation per entry.  One
+reduction then brings every slot back into [0, p) by folding with
+2^k = delta (mod p), k = bits(p) and delta = 2^k - p (the primes are
+2^61 - 1, 2^61 - 31 and 2^61 - 45), and one slot-wise conditional
+subtraction.  The fold stays inside a slot when bits(delta) < k, which
+holds for every odd prime; a slot must hold what it sums before the
+reduction, so Faddeev-LeVerrier needs s >= 2k + bits(row nonzeros) + 1
+and a row step of the elimination s >= 2k + 1.  The n - 1 sparse matrix
+products mod p then take O(n (n + e)) big-integer operations for e edges
+and the elimination of L O(n min(n, k)), on rows of n or k slots.
 
 Rank at a generic point is computed by evaluating the Jacobian at random
 points over large prime fields.  Rank at any concrete point is a lower
@@ -287,6 +303,14 @@ def _terminal_components(succ: list[list[int]]) -> int:
     return terminal
 
 
+def _pack(values: Sequence[int], s: int) -> int:
+    """The integer with values[i] in the s-bit slot at bit s*i."""
+    x = 0
+    for v in reversed(values):
+        x = x << s | v
+    return x
+
+
 def _inverses(n: int, p: int) -> list[int]:
     """1/k mod p for k = 1..n (index k), by inv(k) = -(p // k) inv(p % k)."""
     inv = [0, 1]
@@ -295,37 +319,82 @@ def _inverses(n: int, p: int) -> list[int]:
     return inv
 
 
+class _Lanes:
+    """Arithmetic mod p on rows of ``width`` residues packed into one
+    integer: entry i of a row sits in the s-bit slot at bit s*i.
+
+    A row is scaled by one multiplication and two rows are added by one
+    addition, so long as no slot overflows: the caller keeps every slot
+    below 2^s.  :meth:`reduce` then brings every slot back to its residue
+    in [0, p) at once.  With k = bits(p) and delta = 2^k - p, a slot x =
+    hi 2^k + lo is congruent to hi delta + lo; folding every slot that
+    way, until no slot has bits above k, stays inside the slot when
+    bits(delta) < k and s > k, which holds for every odd prime.  One
+    slot-wise conditional subtraction of p then finishes: x + delta
+    carries into bit k exactly when x >= p.  Everything is exact integer
+    arithmetic.
+    """
+
+    __slots__ = ("p", "s", "width", "mask", "_k", "_delta", "_ones",
+                 "_low", "_fold", "_high", "_deltas")
+
+    def __init__(self, p: int, s: int, width: int):
+        k = p.bit_length()
+        ones = ((1 << s * width) - 1) // ((1 << s) - 1)   # 1 in every slot
+        self.p, self.s, self.width, self.mask = p, s, width, (1 << s) - 1
+        self._k, self._delta, self._ones = k, (1 << k) - p, ones
+        self._low = ones * ((1 << k) - 1)          # bits 0..k-1 of each slot
+        self._fold = ones * ((1 << s - k) - 1)     # bits k..s-1, shifted down
+        self._high = self._fold << k
+        self._deltas = ones * self._delta
+
+    def reduce(self, x: int) -> int:
+        """Every slot of x, each below 2^s, replaced by its residue mod p."""
+        k, low, fold, high, delta = (self._k, self._low, self._fold,
+                                     self._high, self._delta)
+        while x & high:
+            x = (x & low) + (x >> k & fold) * delta
+        return x - ((x + self._deltas) >> k & self._ones) * self.p
+
+    def unpack(self, x: int) -> list[int]:
+        """The entries of the row x, slot by slot."""
+        s, mask = self.s, self.mask
+        return [x >> s * i & mask for i in range(self.width)]
+
+
 def _adjugate(a_rows: list[list[tuple[int, int]]],
-              p: int) -> tuple[list[list[list[int]]], list[int]]:
+              p: int) -> tuple[list[list[int]], list[int], _Lanes]:
     """adj(lambda*I - A) and det(lambda*I - A) mod p, by Faddeev-LeVerrier.
 
-    ``a_rows[i]`` lists the nonzero ``(j, A[i][j])`` of row i (0-based).
-    Returns ``(B, c)``: ``B[k]`` is the matrix coefficient of lambda^k in
-    the adjugate (k < n) and ``c[k]`` the coefficient of lambda^k in the
-    monic characteristic polynomial.  It takes n - 1 sparse matrix
-    products; the only inverses are those of 1..n.
+    ``a_rows[i]`` lists the nonzero ``(j, A[i][j])`` of row i (0-based),
+    each a residue mod p.  Returns ``(B, c, lanes)``: ``B[k][a]`` is row a
+    of the matrix coefficient of lambda^k in the adjugate (k < n), packed
+    on ``lanes`` (entry b in slot b), and ``c[k]`` the coefficient of
+    lambda^k in the monic characteristic polynomial.  It takes n - 1
+    sparse matrix products mod p: row i of A M is the sum of a M_j over
+    the nonzeros of row i, one multiplication and one addition each, and
+    is reduced once.  A slot then sums at most (row nonzeros) products of
+    two residues plus a residue, so s = 2 bits(p) + bits(row nonzeros) + 1
+    keeps the slots apart.  The only inverses are those of 1..n.
     """
     n = len(a_rows)
     inv = _inverses(n, p)
+    s = 2 * p.bit_length() + max(map(len, a_rows)).bit_length() + 1
+    lanes = _Lanes(p, s, n)
+    reduce, mask = lanes.reduce, lanes.mask
+    eye = [1 << s * i for i in range(n)]
     c = [0] * (n + 1)
     c[n] = 1
-    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    M = eye
     B = [M] * n                 # B[n - 1] = I; the others are set below
     for k in range(1, n):
-        AM = []
-        for row in a_rows:
-            acc = [0] * n
-            for j, a in row:
-                acc = [x + a * y for x, y in zip(acc, M[j])]
-            AM.append(acc)
-        c[n - k] = -sum(AM[i][i] for i in range(n)) * inv[k] % p
-        M = [[x % p for x in row] for row in AM]
-        for i in range(n):
-            M[i][i] = (M[i][i] + c[n - k]) % p
-        B[n - 1 - k] = M
-    c[0] = -sum(a * M[j][i] for i, row in enumerate(a_rows)
+        AM = [sum(a * M[j] for j, a in row) for row in a_rows]
+        ck = c[n - k] = -sum(x >> s * i & mask
+                             for i, x in enumerate(AM)) * inv[k] % p
+        M = B[n - 1 - k] = [reduce(x + ck * e) for x, e in zip(AM, eye)]
+    c[0] = -sum(a * (M[j] >> s * i & mask) for i, row in enumerate(a_rows)
                 for j, a in row) * inv[n] % p
-    return B, c
+    return B, c, lanes
 
 
 def _diff(row: Sequence, j: int, i: Optional[int], p: int) -> Sequence:
@@ -339,21 +408,26 @@ class _Point:
     """What one point gives every map on its graph and leaks, mod its
     prime, and the Jacobian rows it makes.
 
-    ``adj[a][b]`` is entry (a, b) of adj(lambda*I - A), 0-based, by
-    ascending powers of lambda, and ``c`` the characteristic polynomial.
-    ``cols`` gives per parameter ``a_ij`` the 0-based ``(i, j)``, with i
-    None for a leak ``a_0j``, and ``lhs`` its partials of ``c``.  With
-    M = lambda*I - A, ``a_ij`` sits at M[i][j] as -a_ij and at M[j][j] as
-    +a_ij (``a_0j`` only at M[j][j]), so ``c = det M`` is affine in it and
-    ``dc/da_ij = adj_jj - adj_ji``.  None of this depends on where the
-    inputs and outputs sit.
+    ``c`` is the characteristic polynomial and :meth:`entry` gives entry
+    (a, b) of adj(lambda*I - A), 0-based, by ascending powers of lambda;
+    the adjugate stays packed as Faddeev-LeVerrier left it, and only the
+    entries used are read off: the diagonal and entry (j, i) per
+    parameter here, row ``out`` per output and column ``in`` per input in
+    :meth:`rows`.  ``cols`` gives per parameter ``a_ij`` the 0-based
+    ``(i, j)``, with i None for a leak ``a_0j``, and ``lhs`` its partials
+    of ``c``.  With M = lambda*I - A, ``a_ij`` sits at M[i][j] as -a_ij
+    and at M[j][j] as +a_ij (``a_0j`` only at M[j][j]), so ``c = det M``
+    is affine in it and ``dc/da_ij = adj_jj - adj_ji``.  None of this
+    depends on where the inputs and outputs sit.
 
     ``left`` lists the orders k of the left-side coefficients ``c_k``
-    that the maps rank.  Their rows are reduced once: ``rank`` is their
-    rank and ``kernel`` a basis of their kernel, which multiplies every
-    right-side row (:meth:`rows`).  With no left rows the kernel basis is
-    the unit vectors, and :meth:`rows` gives the right-side rows
-    themselves.
+    that the maps rank.  Their rows, packed one slot per parameter, are
+    reduced once: ``rank`` is their rank and ``kernel`` a basis of their
+    kernel, which multiplies every right-side row (:meth:`rows`).  With no
+    left rows the kernel basis is the unit vectors, and :meth:`rows` gives
+    the right-side rows themselves.  ``lanes`` packs a row of N K, one
+    slot per kernel vector, with s = 2 bits(p) + 1: a row step of the
+    elimination sums two products of residues.
 
     Right-side rows come from products of polynomials of degree < n,
     formed as integer products.  A polynomial is packed into one integer,
@@ -378,20 +452,31 @@ class _Point:
                 a_rows[i - 1].append((j - 1, v))
         for j in range(n):
             a_rows[j].append((j, diag[j] % p))
-        B, c = _adjugate(a_rows, p)
-        self.p, self.c, self.n = p, c, n
-        self.adj = [list(zip(*(Bk[a] for Bk in B))) for a in range(n)]
+        self._B, self.c, self._adj_lanes = _adjugate(a_rows, p)
+        self.p, self.n = p, n
         self.cols = [(i - 1 if i else None, j - 1) for (i, j) in params]
-        self.lhs = [_diff(self.adj[j], j, i, p) for (i, j) in self.cols]
+        dd = [self.entry(j, j) for j in range(n)]
+        self.lhs = [dd[j] if i is None else
+                    [(a - b) % p for a, b in zip(dd[j], self.entry(j, i))]
+                    for (i, j) in self.cols]
+        s = 2 * p.bit_length() + 1
+        by_param = _Lanes(p, s, len(params))
         self.rank, self.kernel = _kernel(
-            [[du[k] for du in self.lhs] for k in left], len(params), p)
+            [_pack([du[k] for du in self.lhs], s) for k in left],
+            by_param)
+        self.lanes = _Lanes(p, s, len(self.kernel))
         self._slot = 3 * p.bit_length() + (n * len(params)).bit_length()
         self._v: dict[int, list[int]] = {}
         self._w: dict[int, list[int]] = {}
 
-    def rows(self, coeffs: Sequence[tuple[int, int, int]]) -> list[list[int]]:
-        """The right-side rows of the coefficients times the kernel basis:
-        per coefficient, one entry per kernel vector.
+    def entry(self, a: int, b: int) -> list[int]:
+        """Entry (a, b) of adj(lambda*I - A) by ascending powers of lambda."""
+        shift, mask = self._adj_lanes.s * b, self._adj_lanes.mask
+        return [Bk[a] >> shift & mask for Bk in self._B]
+
+    def rows(self, coeffs: Sequence[tuple[int, int, int]]) -> list[int]:
+        """The right-side rows of the coefficients times the kernel basis,
+        packed on ``lanes``: per coefficient, one slot per kernel vector.
 
         With u = dc/da_ij, d = adj(M)[out][in], w = adj_j,in and
         v = adj_out,j - adj_out,i (adj_out,j alone for a leak), the Jacobi
@@ -410,7 +495,7 @@ class _Point:
         c is needed.  Modulo the left span a row x is known by x K, so an
         entry is slot t of ``sum_ij K_ij w v`` for one kernel vector K.
         """
-        p, s, top = self.p, self._slot, self.n - 2
+        p, s, top, width = self.p, self._slot, self.n - 2, self.lanes.s
         mask = (1 << s) - 1
         rows = []
         pair = None
@@ -420,61 +505,64 @@ class _Point:
                 products = self._products(out - 1, inp - 1)
                 sums = [sum(map(mul, vec.values(),
                                 map(products.__getitem__, vec)))
-                        for vec in self.kernel]
+                        for vec in reversed(self.kernel)]
             shift = s * (top - k)
-            rows.append([(x >> shift & mask) % p for x in sums])
+            row = 0
+            for x in sums:          # the last kernel vector's slot on top
+                row = row << width | (x >> shift & mask) % p
+            rows.append(row)
         return rows
 
     def _products(self, out: int, inp: int) -> list[int]:
         """``w v`` of every parameter, packed; v is packed once per output,
         w once per input."""
-        adj, p, s = self.adj, self.p, self._slot
+        p, s, n = self.p, self._slot, self.n
+        top = self._B[:0:-1]            # coefficients n-1 down to 1
         vs = self._v.get(out)
         if vs is None:
-            row_o = adj[out]
-            vs = self._v[out] = [_pack(_diff(row_o, j, i, p)[1:], s)
+            unpack = self._adj_lanes.unpack
+            row_o = list(zip(*[unpack(Bk[out]) for Bk in top]))
+            vs = self._v[out] = [_pack(_diff(row_o, j, i, p), s)
                                  for (i, j) in self.cols]
         ws = self._w.get(inp)
         if ws is None:
-            ws = self._w[inp] = [_pack(adj[j][inp][1:], s)
-                                 for j in range(len(adj))]
+            shift, mask = self._adj_lanes.s * inp, self._adj_lanes.mask
+            ws = self._w[inp] = [_pack([Bk[j] >> shift & mask for Bk in top],
+                                       s) for j in range(n)]
         return [ws[j] * v for v, (_i, j) in zip(vs, self.cols)]
 
 
-def _pack(poly: Sequence[int], s: int) -> int:
-    """The integer with coefficient k of poly at bit s*(len - 1 - k)."""
-    x = 0
-    for coef in poly:
-        x = (x << s) | coef
-    return x
+def _echelon(rows: Sequence[int],
+             lanes: _Lanes) -> list[tuple[int, int, int]]:
+    """An echelon basis of packed rows over the prime field.
 
-
-def _echelon(rows: list[list[int]], p: int) -> list[tuple[int, list[int]]]:
-    """An echelon basis of the rows over the prime field.
-
-    Entries lie in [0, p).  Returns ``(pivot column, row)`` pairs in
-    insertion order; each row is zero at the pivot columns of the rows
-    before it, so one pass reduces a new row at every pivot.  A row is
-    scaled by the pivot instead of divided by it, so no modular inverse
-    is needed.  The rank of the rows is the basis length.
+    Entries lie in [0, p), in the slots of ``lanes``, whose width must be
+    at least 2 bits(p) + 1.  Returns ``(pivot column, pivot, row)``
+    triples in insertion order; each row is zero at the pivot columns of
+    the rows before it, so one pass reduces a new row at every pivot.  A
+    row is scaled by the pivot instead of divided by it, so no modular
+    inverse is needed: a step is ``pv r + (p - f) b``, two products of
+    residues per slot, then one reduction of every slot.  The pivot
+    column of a row is its lowest nonzero slot.  The rank of the rows is
+    the basis length.
     """
-    basis: list[tuple[int, list[int]]] = []
+    p, s, mask, reduce = lanes.p, lanes.s, lanes.mask, lanes.reduce
+    basis: list[tuple[int, int, int]] = []
     for r in rows:
-        for c, b in basis:
-            f = r[c]
+        for c, pv, b in basis:
+            f = r >> s * c & mask
             if f:
-                pv = b[c]
-                r = [(pv * x - f * y) % p for x, y in zip(r, b)]
-        for c, x in enumerate(r):
-            if x:
-                basis.append((c, r))
-                break
+                r = reduce(pv * r + (p - f) * b)
+        if r:
+            c = ((r & -r).bit_length() - 1) // s
+            basis.append((c, r >> s * c & mask, r))
     return basis
 
 
-def _kernel(rows: list[list[int]], width: int,
-            p: int) -> tuple[int, list[dict[int, int]]]:
-    """The rank of rows over the prime field and a basis of their kernel.
+def _kernel(rows: Sequence[int],
+            lanes: _Lanes) -> tuple[int, list[dict[int, int]]]:
+    """The rank of packed rows over the prime field and a basis of their
+    kernel, with one slot per column (:func:`_echelon`).
 
     The echelon basis is reduced upwards, again by scaling, until every
     row is zero at the other rows' pivots.  With pivot values g_i and
@@ -484,25 +572,29 @@ def _kernel(rows: list[list[int]], width: int,
     each as a dict from column to its nonzero entry: a vector has at most
     rank + 1 of them, however wide the rows.
     """
-    basis = _echelon(rows, p)
+    p, s, mask, reduce = lanes.p, lanes.s, lanes.mask, lanes.reduce
+    basis = _echelon(rows, lanes)
     for k in range(len(basis) - 1, 0, -1):
-        c, b = basis[k]
-        pv = b[c]
+        c, pv, b = basis[k]
         for i in range(k):
-            ci, bi = basis[i]
-            f = bi[c]
+            ci, gi, bi = basis[i]
+            f = bi >> s * c & mask
             if f:
-                basis[i] = (ci, [(pv * x - f * y) % p for x, y in zip(bi, b)])
-    pivots = [b[c] for c, b in basis]
+                basis[i] = (ci, pv * gi % p, reduce(pv * bi + (p - f) * b))
+    pivots = [pv for _c, pv, _b in basis]
     g = prod(pivots) % p
     others = [prod(pivots[:i] + pivots[i + 1:]) % p
               for i in range(len(pivots))]
-    pivot_cols = {c for c, _b in basis}
+    pivot_cols = {c for c, _pv, _b in basis}
     kernel = []
-    for f in range(width):
+    for f in range(lanes.width):
         if f not in pivot_cols:
-            vec = {c: -b[f] * other % p
-                   for (c, b), other in zip(basis, others) if b[f]}
+            shift = s * f
+            vec = {}
+            for (c, _pv, b), other in zip(basis, others):
+                x = b >> shift & mask
+                if x:
+                    vec[c] = -x * other % p
             vec[f] = g
             kernel.append(vec)
     return len(basis), kernel
@@ -564,7 +656,7 @@ def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
         for k in live:
             r = at.rank
             if at.kernel:           # else the left rows have full rank
-                r += len(_echelon(at.rows(rhs[k]), prime))
+                r += len(_echelon(at.rows(rhs[k]), at.lanes))
             logs[k].append(TrialResult(prime, trial_seed, r))
             best[k] = max(best[k], r)
     return [RankReport(best[k], tuple(logs[k]), cm.p, cm.m)

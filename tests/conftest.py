@@ -23,7 +23,7 @@ from compident.determinant import _laplace
 from compident.forests import forest_sums_by_size, lhs_coefficients, \
     rhs_coefficients
 from compident.graphs import AuxGraph, flip_into_leak
-from compident.identify import RankReport, TrialResult, _Point
+from compident.identify import RankReport, TrialResult
 from compident.model import Model
 from compident.poly import PRIMES, FieldPoint, Monomial, Param, Poly, \
     _Codec, param_name
@@ -354,18 +354,82 @@ def _quotient_mod(num, c, p: int) -> tuple[list[int], list[int]]:
     return q, rem[:n]
 
 
+def point_rows(n: int, params, point) -> list[list[tuple[int, int]]]:
+    """The sparse rows of A at the point: ``rows[i]`` lists the nonzero
+    ``(j, A[i][j])`` mod the prime, 0-based.  Parameter ``a_ij`` moves
+    flow from j to i, so it adds to A[i][j] and subtracts from A[j][j]
+    (``a_0j``, a leak, only the latter); the matrix is filled densely
+    and then read, row by row, with every diagonal entry listed."""
+    p = point.prime
+    A = [[0] * n for _ in range(n)]
+    for (i, j) in params:
+        v = point.values[(i, j)]
+        A[j - 1][j - 1] -= v
+        if i:
+            A[i - 1][j - 1] += v
+    return [[(j, x % p) for j, x in enumerate(row) if x or i == j]
+            for i, row in enumerate(A)]
+
+
+def faddeev_leverrier(a_rows, p: int) -> tuple[list, list[int]]:
+    """adj(lambda*I - A) and det(lambda*I - A) mod p, on plain lists.
+
+    ``a_rows[i]`` lists the nonzero ``(j, A[i][j])`` of row i.  Returns
+    ``(B, c)``: ``B[k][a][b]`` is entry (a, b) of the matrix coefficient
+    of lambda^k in the adjugate (k < n) and ``c[k]`` the coefficient of
+    lambda^k in the monic characteristic polynomial.  Element by element,
+    with every entry reduced after each product and 1/k by Fermat; the package runs the
+    same recursion on packed rows (``identify._adjugate``).
+    """
+    n = len(a_rows)
+    inv = [0] + [pow(k, p - 2, p) for k in range(1, n + 1)]   # Fermat
+    c = [0] * (n + 1)
+    c[n] = 1
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    B = [M] * n                 # B[n - 1] = I; the others are set below
+    for k in range(1, n):
+        AM = []
+        for row in a_rows:
+            acc = [0] * n
+            for j, a in row:
+                acc = [x + a * y for x, y in zip(acc, M[j])]
+            AM.append(acc)
+        c[n - k] = -sum(AM[i][i] for i in range(n)) * inv[k] % p
+        M = [[x % p for x in row] for row in AM]
+        for i in range(n):
+            M[i][i] = (M[i][i] + c[n - k]) % p
+        B[n - 1 - k] = M
+    c[0] = -sum(a * M[j][i] for i, row in enumerate(a_rows)
+                for j, a in row) * inv[n] % p
+    return B, c
+
+
+def adjugate_at(n: int, params, point):
+    """``(adj, c)`` at the point by :func:`faddeev_leverrier`:
+    ``adj[a][b]`` lists entry (a, b) of adj(lambda*I - A) by ascending
+    powers of lambda."""
+    B, c = faddeev_leverrier(point_rows(n, params, point), point.prime)
+    return [[[Bk[a][b] for Bk in B] for b in range(n)]
+            for a in range(n)], c
+
+
 def jacobian_at(cm, point) -> list[list[int]]:
     """The Jacobian of the coefficient map at the point, mod its prime.
 
-    A left-side row holds the partials of c.  The right-side row of
-    ``d_k`` holds, per parameter, coefficient k of Q(u d - w v), the
-    Jacobi identity's whole numerator divided by the monic c by long
-    division, which is checked to be exact; u, d, w and v are as in
-    ``identify._Point.rows`` and Q is the quotient.
+    A left-side row holds the partials of c, ``adj_jj - adj_ji`` for
+    ``a_ij`` (``adj_jj`` for a leak).  The right-side row of ``d_k``
+    holds, per parameter, coefficient k of Q(u d - w v), the Jacobi
+    identity's whole numerator divided by the monic c by long division,
+    which is checked to be exact; u, d, w and v are as in
+    ``identify._Point.rows`` and Q is the quotient.  The adjugate comes
+    from :func:`adjugate_at`, not from the package.
     """
     p = point.prime
-    at = _Point(cm.model.n, cm.params, point, ())
-    adj, c, cols, lhs = at.adj, at.c, at.cols, at.lhs
+    adj, c = adjugate_at(cm.model.n, cm.params, point)
+    cols = [(i - 1 if i else None, j - 1) for (i, j) in cm.params]
+    lhs = [adj[j][j] if i is None else
+           [(a - b) % p for a, b in zip(adj[j][j], adj[j][i])]
+           for (i, j) in cols]
     rows = []
     for (out, inp, k) in cm.coeffs:
         if inp is None:

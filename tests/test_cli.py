@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -85,6 +86,63 @@ def test_analyze_force_rank(capsys, fixtures_dir):
     assert doc["method"] == "jacobian_rank"
     assert doc["rank"] == 5
     assert [t["seed"] for t in doc["trials"]] == [20240101]
+
+
+def _one_way_cycle_60():
+    # a one-way 60-cycle with one chord and one leak
+    n = 60
+    edges = [(i, i % n + 1) for i in range(1, n + 1)] + [(1, n // 2 + 1)]
+    return n, edges, [1], [2], [n]
+
+
+def _dense_20():
+    # strongly connected, and row 1 of A has 20 nonzeros: the slots of
+    # the packed adjugate are wider than 128 bits
+    rng = random.Random(20)
+    n = 20
+    edges = {(i, i % n + 1) for i in range(1, n + 1)}
+    edges |= {(j, 1) for j in range(2, n + 1)}
+    edges |= {(f, t) for f in range(1, n + 1) for t in range(2, n + 1)
+              if f != t and rng.random() < 0.3}
+    return n, sorted(edges), [3], [7], [1, 12]
+
+
+def _two_in_three_out():
+    # rank 12 of 13 parameters: every trial runs, on all three primes
+    edges = [(1, 2), (1, 3), (2, 3), (3, 4), (3, 6), (4, 1), (4, 2), (4, 5),
+             (5, 2), (5, 6), (6, 1)]
+    return 6, edges, [1, 4], [2, 3, 6], [4, 5]
+
+
+# digests of the output before the rank path ran on packed rows; no
+# fixture reaches these sizes
+@pytest.mark.parametrize("build,force_rank,digest", [
+    (_one_way_cycle_60, False,
+     "7f9480f56d41835767b7408f106d9714776de862694c5268ef0ae2c6002ba72d"),
+    (_one_way_cycle_60, True,
+     "7f9480f56d41835767b7408f106d9714776de862694c5268ef0ae2c6002ba72d"),
+    (_dense_20, False,
+     "b079e37b41f0f2c4870273465e929202d17047532426a7f264e469a402f47cf7"),
+    (_dense_20, True,
+     "3da6625e5293a646d581b09ddd0b70796b5aeb9d699913ae7a37f6343e43dafd"),
+    (_two_in_three_out, False,
+     "9f03da5fb6e497ca1a63ee2d15e6cf697dfe9f9b17244c73d47ca98ccd0bfd36"),
+    (_two_in_three_out, True,
+     "9f03da5fb6e497ca1a63ee2d15e6cf697dfe9f9b17244c73d47ca98ccd0bfd36"),
+], ids=["cycle60", "cycle60-force", "dense20", "dense20-force", "io2x3",
+        "io2x3-force"])
+def test_analyze_json_is_pinned_beyond_the_fixtures(capsys, tmp_path, build,
+                                                    force_rank, digest):
+    n, edges, inputs, outputs, leaks = build()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "compartments": n,
+        "edges": [{"from": f, "to": t} for (f, t) in edges],
+        "in": inputs, "out": outputs, "leak": leaks}))
+    argv = ["analyze", "--json", str(path)] + ["--force-rank"] * force_rank
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_analyze_malformed_model(capsys, tmp_path):
@@ -616,6 +674,37 @@ def test_python_m_runs_the_cli(capsys, fixtures_dir):
                           timeout=120)
     assert proc.returncode == code == EXIT_OK
     assert proc.stdout == out
+
+
+def test_main_parses_every_call_afresh_on_one_parser(monkeypatch, capsys,
+                                                     fixtures_dir):
+    # one parser serves every call of the process, and each call gives
+    # the stdout, stderr and exit code of a fresh process: no option of
+    # one call carries over into the next
+    path = fixture(fixtures_dir, "cat3_leak1")
+    sequence = [
+        ["analyze", path, "--trials", "0"],
+        ["analyze", "--json", "--force-rank", path],
+        ["analyze", "--json", path],
+        ["sweep-trees", "--max-n", "2"],
+    ]
+    cli._parser.cache_clear()
+    builds = count_calls(monkeypatch, cli, "build_parser")
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "src"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    codes = []
+    for argv in sequence:
+        got = run_cli(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "compident", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+        codes.append(got[0])
+    assert codes == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert len(builds) == 1
 
 
 def test_fixture_files_match_builtin_corpus(fixtures_dir):

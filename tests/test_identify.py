@@ -1,5 +1,6 @@
 """Coefficient maps, generic rank, and the verdict pipeline."""
 
+import gc
 import itertools
 import random
 
@@ -27,7 +28,9 @@ from compident.identify import (
     UNIDENTIFIABLE,
     NoInputError,
     NotStronglyConnectedError,
+    _Lanes,
     _Point,
+    _pack,
     _echelon,
     _kernel,
     classify_tree,
@@ -46,8 +49,8 @@ from compident.forests import lhs_coefficients, rhs_coefficients
 from compident.model import Model, distance, model_to_dict
 from compident.poly import PRIMES, FieldPoint, Poly
 
-from conftest import (all_digraphs, closure_strongly_connected, count_calls,
-                      eval_mod, jacobian_at, mk,
+from conftest import (adjugate_at, all_digraphs, closure_strongly_connected,
+                      count_calls, eval_mod, jacobian_at, mk,
                       partial_derivative, rank_mod, rational_generic_rank,
                       reference_generic_rank, symbolic_jacobian_mod_point,
                       symbolic_labels)
@@ -179,7 +182,7 @@ def _assert_matches_oracle(m, seed=DEFAULT_SEED):
                 rows.append(row)
         at = _Point(m.n, cm.params, point, ())
         for coeffs, want in pairs.values():
-            got = at.rows(coeffs)
+            got = [at.lanes.unpack(row) for row in at.rows(coeffs)]
             assert len(got) == len(coeffs), (model_to_dict(m), t, coeffs)
             spans = {rank_mod(left + got, prime), rank_mod(left + want, prime),
                      rank_mod(left + got + want, prime)}
@@ -220,6 +223,93 @@ def test_adjugate_route_matches_oracle_random():
         outs = rng.sample(range(1, n + 1), rng.randrange(1, 3))
         leaks = rng.sample(range(1, n + 1), rng.randrange(0, 3))
         _assert_matches_oracle(mk(n, edges, ins, outs, leaks))
+
+
+def _assert_point_reads_the_oracle(n, params, point, places):
+    """c, the partials of c and every adjugate entry _Point reads -- the
+    diagonal, entry (j, i) per parameter, and row out and column in per
+    (input, output) place -- equal those of the list-based oracle."""
+    adj, c = adjugate_at(n, params, point)
+    at = _Point(n, params, point, ())
+    assert at.c == c
+    read = {(j, j) for j in range(n)}
+    read |= {(j, i) for (i, j) in at.cols if i is not None}
+    for inp, out in places:
+        read |= {(out - 1, b) for b in range(n)}
+        read |= {(a, inp - 1) for a in range(n)}
+    for (a, b) in read:
+        assert at.entry(a, b) == adj[a][b], (a, b)
+    assert at.lhs == [
+        adj[j][j] if i is None else
+        [(x - y) % point.prime for x, y in zip(adj[j][j], adj[j][i])]
+        for (i, j) in at.cols]
+    return at
+
+
+def test_point_reads_the_oracle_adjugate_exhaustive():
+    # every digraph with n <= 3 and leak set of size <= 2, at a point over
+    # each prime; every single input/output placement reads its row and
+    # column
+    models = 0
+    for n, edges in all_digraphs(3):
+        places = list(itertools.product(range(1, n + 1), repeat=2))
+        for size in range(min(n, 2) + 1):
+            for leaks in itertools.combinations(range(1, n + 1), size):
+                params = coefficient_map(mk(n, edges, [1], [1], leaks)).params
+                for t, prime in enumerate(PRIMES):
+                    point = FieldPoint.random(params, prime, random.Random(t))
+                    _assert_point_reads_the_oracle(n, params, point, places)
+                models += len(places)
+    assert models == 4098
+
+
+def test_point_reads_the_oracle_adjugate_random():
+    # seeded random models with n = 4..12, several inputs and outputs,
+    # then two whose row 1 has more than 15 nonzeros, so the packed
+    # adjugate's slots reach 128 bits
+    rng = random.Random(73)
+    models = []
+    for n in range(4, 13):
+        edges = [e for e in itertools.permutations(range(1, n + 1), 2)
+                 if rng.random() < 0.4]
+        models.append((n, edges, rng.sample(range(1, n + 1), 2),
+                       rng.sample(range(1, n + 1), 3),
+                       rng.sample(range(1, n + 1), rng.randrange(0, 3))))
+    for n in (17, 20):
+        edges = set(random_strongly_connected_edges(rng, n, 0.2))
+        edges |= {(j, 1) for j in range(2, n + 1)}
+        models.append((n, sorted(edges), [1], [n], [2]))
+    widths = []
+    for n, edges, ins, outs, leaks in models:
+        params = coefficient_map(mk(n, edges, ins, outs, leaks)).params
+        for prime in PRIMES:
+            point = FieldPoint.random(params, prime,
+                                      random.Random(rng.randrange(10 ** 6)))
+            at = _assert_point_reads_the_oracle(
+                n, params, point, itertools.product(ins, outs))
+            widths.append(at._adj_lanes.s)
+    assert max(widths) == 128
+
+
+def test_point_leaves_no_cyclic_garbage():
+    # a point and its lanes hold no reference back to themselves, so they
+    # are freed on return, not left for the cyclic collector
+    m = mk(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 4), (4, 1)],
+           [1], [3], [2])
+    cm = coefficient_map(m)
+    gc.collect()
+    gc.disable()
+    try:
+        report = generic_rank(cm)
+        at = _Point(m.n, cm.params,
+                    FieldPoint.random(cm.params, PRIMES[0], random.Random(1)),
+                    range(m.n))
+        assert at.kernel and at.rows([co for co in cm.coeffs if co[1]])
+        del at
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert report.rank == min(cm.p, cm.m)
 
 
 def test_coefficient_map_unreachable_output():
@@ -345,16 +435,40 @@ def test_echelon_rank_equals_gaussian_elimination():
             rows += [list(rng.choice(rows))] * rng.randrange(2)
         rng.shuffle(rows)
         rank = rank_mod(rows, p)
-        assert len(_echelon(rows, p)) == rank
+        lanes = _Lanes(p, 2 * p.bit_length() + 1, cols)
+        packed = [_pack(row, lanes.s) for row in rows]
+        assert len(_echelon(packed, lanes)) == rank
         # the kernel basis: cols - rank independent vectors, each
         # orthogonal to every row
-        got, kernel = _kernel(rows, cols, p)
+        got, kernel = _kernel(packed, lanes)
         assert got == rank and len(kernel) == cols - rank
         vectors = [[vec.get(c, 0) for c in range(cols)] for vec in kernel]
         assert all(sum(a * b for a, b in zip(row, vec)) % p == 0
                    for row in rows for vec in vectors)
         assert rank_mod(vectors, p) == len(vectors)
         assert all(0 < x < p for vec in kernel for x in vec.values())
+
+
+@pytest.mark.parametrize("p", PRIMES + (3, 5, 7, 11, 13))
+def test_lane_reduction_equals_mod_p_slot_by_slot(p):
+    # slot widths of a row step (2 bits(p) + 1) and of Faddeev-LeVerrier
+    # with 16 to 31 row nonzeros; each special value in every slot
+    rng = random.Random(p)
+    k = p.bit_length()
+    n = 7
+    for s in (2 * k + 1, 2 * k + 6):
+        special = [0, p - 1, p, 2 * p * p - 1, (1 << s) - 1]
+        for width in (0, 1, n):
+            lanes = _Lanes(p, s, width)
+            cases = [[special[(i + r) % len(special)] for i in range(width)]
+                     for r in range(len(special))]
+            cases += [[rng.randrange(1 << s) for _ in range(width)]
+                      for _ in range(20)]
+            for values in cases:
+                packed = _pack(values, s)
+                assert lanes.unpack(packed) == values
+                assert lanes.unpack(lanes.reduce(packed)) == \
+                    [v % p for v in values]
 
 
 # -- frozen rank values for the reference corpus ------------------------------
