@@ -16,7 +16,9 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
+import threading
 from typing import Mapping, Sequence
 
 from . import families
@@ -256,56 +258,165 @@ def _leak_sets(n: int, max_size: int):
         yield from itertools.combinations(range(1, n + 1), size)
 
 
+@functools.lru_cache(maxsize=None)
+def _sweep_frame(n: int):
+    """The placements and leak sets of an n-compartment sweep tree, each
+    with its frozenset built once: ``((inp, out, {inp}, {out}), ...)`` and
+    ``((leaks, frozenset(leaks)), ...)``."""
+    singles = {v: frozenset([v]) for v in range(1, n + 1)}
+    places = tuple((inp, out, singles[inp], singles[out])
+                   for inp in range(1, n + 1) for out in range(1, n + 1))
+    return places, tuple((leaks, frozenset(leaks))
+                         for leaks in _leak_sets(n, 2))
+
+
+def _sweep_tree(task, trials: int, seed: int):
+    """One labeled tree of the sweep, end to end.
+
+    ``task`` is ``(n, und)``.  The n^2 placements of one leak set form a
+    group: :func:`coefficient_maps` lays out their maps from one set of
+    graph facts, and :func:`generic_ranks` ranks them together,
+    evaluating each trial's point and adjugate once for all of them.  The
+    tree test runs once and the distance search once per input.  Returns
+    ``(models, identifiable, disagreements)``, the disagreements by input,
+    output and leak set.
+    """
+    n, und = task
+    places, leak_sets = _sweep_frame(n)
+    edges = frozenset(e for (a, b) in und for e in ((a, b), (b, a)))
+    ranked = {}
+    for leaks, leak_set in leak_sets:
+        cms = coefficient_maps([Model(n, edges, ins, outs, leak_set)
+                                for (_inp, _out, ins, outs) in places])
+        reports = generic_ranks(cms, trials=trials, seed=seed)
+        for (inp, out, _ins, _outs), cm, report in zip(places, cms, reports):
+            ranked[inp, out, leaks] = (cm.p, report.rank)
+    tree = cms[0].model
+    if not families.is_bidirectional_tree(tree):
+        raise NotATreeError(f"not a bidirectional tree: {sorted(und)}")
+    count = identifiable = 0
+    disagreements = []
+    for inp in range(1, n + 1):
+        dist = distances(tree, inp)
+        for out in range(1, n + 1):
+            for leaks, _leak_set in leak_sets:
+                params, rank = ranked[inp, out, leaks]
+                by_rank = rank == params
+                if by_rank != tree_identifiable(dist[out], len(leaks)):
+                    disagreements.append({
+                        "n": n, "edges": sorted(und), "in": inp,
+                        "out": out, "leak": sorted(leaks),
+                        "rank": rank, "params": params,
+                    })
+                count += 1
+                identifiable += by_rank
+    return count, identifiable, disagreements
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_forked(func, tasks: Sequence) -> list:
+    """``[func(t) for t in tasks]``, with the tasks split across processes.
+
+    With k = the usable CPUs, capped at the number of tasks, the caller
+    runs ``tasks[0::k]`` and each of k - 1 forked children runs
+    ``tasks[j::k]`` and sends its pickled results back through its own
+    pipe; the results are merged in task order.  Every child is reaped on
+    every path, killed first if the caller's own slice failed, and a
+    child's exception is raised again here.  Without ``os.fork``, or with
+    other threads running (which a fork would not copy), every task runs
+    in this process.
+    """
+    k = min(_usable_cpus(), len(tasks))
+    if k <= 1 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return [func(task) for task in tasks]
+    # imported here so that importing the CLI stays as cheap as before
+    import pickle
+    import signal
+    children = []
+    done = False
+    try:
+        for j in range(1, k):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _forked_worker(func, tasks[j::k], write)
+            children.append((pid, os.fdopen(read, "rb")))
+            os.close(write)  # before the next fork, so only child j has it
+        slices = [[func(task) for task in tasks[0::k]]]
+        payloads = [pipe.read() for _pid, pipe in children]
+        done = True
+    finally:
+        for pid, pipe in children:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    for (pid, _pipe), payload in zip(children, payloads):
+        if not payload:
+            raise RuntimeError(f"sweep worker {pid} exited without a result")
+        failed, value = pickle.loads(payload)
+        if failed:
+            raise value
+        slices.append(value)
+    return [slices[i % k][i // k] for i in range(len(tasks))]
+
+
+def _forked_worker(func, tasks: Sequence, write: int):
+    """The body of a forked child of :func:`_map_forked`: runs ``tasks``,
+    writes ``(failed, results or exception)`` pickled to the pipe end
+    ``write`` and exits, never returning into the caller's stack.  A
+    child that cannot write its outcome exits with status 1 and no
+    result."""
+    import pickle
+    status = 1
+    try:
+        try:
+            outcome = (False, [func(task) for task in tasks])
+        except Exception as exc:  # handed to the parent, which raises it
+            outcome = (True, exc)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
     """Exhaustive tree comparison: Jacobian rank versus the tree theorem.
 
     Iterates every labeled tree on up to max_n vertices, every input and
     output placement and every leak set of size at most 2, and compares
     the rank verdict against the tree theorem (:func:`tree_identifiable`).
-    The n^2 placements of one tree and leak set form one group:
-    :func:`coefficient_maps` lays out their maps from one set of graph
-    facts, and :func:`generic_ranks` ranks them together, evaluating each
-    trial's point and adjugate once for all of them.  The tree test runs
-    once per tree and the distance search once per tree and input.
-    Returns a summary dict with any disagreements (expected none), listed
-    by tree, input, output and leak set.
+    Each tree is one task of :func:`_sweep_tree`, and the tasks run on
+    every usable CPU (:func:`_map_forked`).  Returns a summary dict with
+    any disagreements (expected none), listed by tree, input, output and
+    leak set; it does not depend on the number of CPUs.
     """
-    per_n = {}
+    tasks = [(n, und) for n in range(1, max_n + 1)
+             for und in families.labeled_trees(n)]
+    results = _map_forked(
+        functools.partial(_sweep_tree, trials=trials, seed=seed), tasks)
+    per_n = {str(n): 0 for n in range(1, max_n + 1)}
     disagreements = []
-    total = identifiable = 0
-    for n in range(1, max_n + 1):
-        count = 0
-        places = [(inp, out) for inp in range(1, n + 1)
-                  for out in range(1, n + 1)]
-        leak_sets = list(_leak_sets(n, 2))
-        for und in families.labeled_trees(n):
-            ranked = {}
-            for leaks in leak_sets:
-                cms = coefficient_maps([families.bidirectional_tree_model(
-                    n, und, [inp], [out], leaks) for (inp, out) in places])
-                reports = generic_ranks(cms, trials=trials, seed=seed)
-                for place, cm, report in zip(places, cms, reports):
-                    ranked[place, leaks] = (cm, report.rank)
-            tree = cms[0].model
-            if not families.is_bidirectional_tree(tree):
-                raise NotATreeError(f"not a bidirectional tree: {sorted(und)}")
-            for inp in range(1, n + 1):
-                dist = distances(tree, inp)
-                for out in range(1, n + 1):
-                    for leaks in leak_sets:
-                        cm, rank = ranked[(inp, out), leaks]
-                        by_rank = rank == cm.p
-                        by_tree = tree_identifiable(dist[out], len(leaks))
-                        if by_rank != by_tree:
-                            disagreements.append({
-                                "n": n, "edges": sorted(und), "in": inp,
-                                "out": out, "leak": sorted(leaks),
-                                "rank": rank, "params": cm.p,
-                            })
-                        count += 1
-                        total += 1
-                        identifiable += by_rank
-        per_n[str(n)] = count
+    identifiable = 0
+    for (n, _und), (count, found, disagree) in zip(tasks, results):
+        per_n[str(n)] += count
+        identifiable += found
+        disagreements += disagree
+    total = sum(per_n.values())
     return {"max_n": max_n, "trials": trials, "seed": seed, "models": total,
             "identifiable": identifiable,
             "unidentifiable": total - identifiable,

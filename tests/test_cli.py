@@ -26,8 +26,8 @@ from compident.graphs import leak_augmented
 from compident.identify import coefficient_map, generic_rank
 from compident.model import load_model
 
-from conftest import FIXTURES_DIR, count_calls, dropping_a_term, mk, \
-    reference_text
+from conftest import FIXTURES_DIR, count_calls, count_calls_across_forks, \
+    dropping_a_term, mk, reference_text
 
 with open(os.path.join(FIXTURES_DIR, "manifest.json")) as fh:
     MANIFEST = json.load(fh)
@@ -543,8 +543,8 @@ def test_sweep_trees_small(capsys):
 
 def test_sweep_trees_disagreement_order(monkeypatch):
     # every verdict inverted: all models disagree, listed in the order of
-    # the plain tree -> input -> output -> leak set loop
-    plain = run_tree_sweep(3, 3, 5)
+    # the plain tree -> input -> output -> leak set loop, serially and with
+    # the trees split over forked workers
     expected = []
     for n in (1, 2, 3):
         for und in labeled_trees(n):
@@ -563,44 +563,87 @@ def test_sweep_trees_disagreement_order(monkeypatch):
     def inverted(dist, leaks):
         return not identify.tree_identifiable(dist, leaks)
 
-    monkeypatch.setattr(cli, "tree_identifiable", inverted)
-    swept = run_tree_sweep(3, 3, 5)
-    assert swept["disagreements"] == expected
-    assert {k: v for k, v in swept.items() if k != "disagreements"} == \
-        {k: v for k, v in plain.items() if k != "disagreements"}
+    for cpus in (1, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        plain = run_tree_sweep(3, 3, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "tree_identifiable", inverted)
+            swept = run_tree_sweep(3, 3, 5)
+        assert swept["disagreements"] == expected
+        assert {k: v for k, v in swept.items() if k != "disagreements"} == \
+            {k: v for k, v in plain.items() if k != "disagreements"}
+
+
+@pytest.mark.parametrize("seed", [2, 11])
+def test_sweep_trees_serial_and_forked_agree(monkeypatch, tmp_path, seed):
+    # three slices of 21 trees (7 each, n = 4 trees in every slice) merged
+    # back in tree order give the serial summary, tuples included
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    serial = run_tree_sweep(4, 3, seed)
+    workers = count_calls_across_forks(monkeypatch, tmp_path / "pids", cli,
+                                       "_sweep_tree")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    forked = run_tree_sweep(4, 3, seed)
+    assert forked == serial and serial["models"] == 3023
+    pids = workers()
+    assert len(pids) == 21
+    assert len(set(pids)) == (3 if hasattr(os, "fork") else 1)
+    assert os.getpid() in pids
+
+
+@pytest.mark.parametrize("slot", ["child", "parent"])
+def test_sweep_trees_failure_leaves_no_child(monkeypatch, capsys, slot):
+    # with two slices, tree i runs in the parent for even i and in the
+    # child for odd i; trees 5 and 6 are the first two with n = 4
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    trees = [und for n in range(1, 5) for und in labeled_trees(n)]
+    index = 5 if slot == "child" else 6
+    target = bidirectional_tree_model(4, trees[index], [1], [1]).edges
+    ranks = cli.generic_ranks
+
+    def failing(cms, *args, **kwargs):
+        if cms[0].model.edges == target:
+            raise RuntimeError(f"injected failure in process {os.getpid()}")
+        return ranks(cms, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "generic_ranks", failing)
+    code, _, err = run_cli(capsys, "sweep-trees", "--max-n", "4")
+    assert code == EXIT_INTERNAL
+    failed_in = int(re.search(r"injected failure in process (\d+)",
+                              err).group(1))
+    assert (failed_in == os.getpid()) == (slot == "parent")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_trees_evaluates_one_adjugate_per_tree_and_leak_set(
-        monkeypatch, capsys):
+        monkeypatch, capsys, tmp_path):
     # 203 (tree, leak set) groups for n <= 4, against 3,023 models; every
-    # tree map reaches min(p, m) at its first trial
-    calls = []
-    adjugate = identify._adjugate
-
-    def counted(*args):
-        calls.append(1)
-        return adjugate(*args)
-
-    monkeypatch.setattr(identify, "_adjugate", counted)
+    # tree map reaches min(p, m) at its first trial.  Calls made in forked
+    # sweep workers count too.
+    calls = count_calls_across_forks(monkeypatch, tmp_path / "calls",
+                                     identify, "_adjugate")
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
-    assert len(calls) == 203
+    assert len(calls()) == 203
 
 
-def test_sweep_trees_lays_out_each_group_once(monkeypatch, capsys):
+def test_sweep_trees_lays_out_each_group_once(monkeypatch, capsys, tmp_path):
     # per (tree, leak set) group: one left-side Tarjan pass, one per
     # output and one search per input, not two passes and one search per
     # model; for n <= 4 that is 203 groups of n^2 models.  Classifying
     # adds per tree one search for the tree test and one per input for
-    # the distances.
+    # the distances.  Calls made in forked sweep workers count too.
     trees = {1: 1, 2: 1, 3: 3, 4: 16}
     groups = {1: 2, 2: 4, 3: 21, 4: 176}
-    tarjan = count_calls(monkeypatch, identify, "_terminal_components")
-    searches = count_calls(monkeypatch, model, "distances")
+    tarjan = count_calls_across_forks(monkeypatch, tmp_path / "tarjan",
+                                      identify, "_terminal_components")
+    searches = count_calls_across_forks(monkeypatch, tmp_path / "searches",
+                                        model, "distances")
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
-    assert len(tarjan) == sum((1 + n) * g for n, g in groups.items()) == 980
-    assert len(searches) == sum(n * g for n, g in groups.items()) \
+    assert len(tarjan()) == sum((1 + n) * g for n, g in groups.items()) == 980
+    assert len(searches()) == sum(n * g for n, g in groups.items()) \
         + sum((1 + n) * t for n, t in trees.items()) == 874
 
 
