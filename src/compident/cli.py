@@ -24,8 +24,7 @@ from typing import Mapping, Sequence
 from . import families
 from .determinant import IdentityCheckError, check_minor_identities, \
     det_lhs, det_rhs
-from .forests import forest_buckets, forest_lhs, forest_rhs, \
-    nonconstant_counts
+from .forests import forest_buckets, forest_lhs, forest_rhs
 from .graphs import flip_into_leak, strip_outgoing
 from .identify import (
     DEFAULT_SEED,
@@ -33,6 +32,7 @@ from .identify import (
     NoInputError,
     NotATreeError,
     NotStronglyConnectedError,
+    coefficient_map,
     coefficient_maps,
     decide_identifiability,
     expected_dimension,
@@ -40,8 +40,8 @@ from .identify import (
     tree_identifiable,
     verdict_to_dict,
 )
-from .model import Model, ModelValidationError, distance, distances, \
-    load_model, model_to_dict, param_vector
+from .model import Model, ModelValidationError, distances, load_model, \
+    model_to_dict, param_vector
 from .poly import _Codec
 from .transforms import ALL_KINDS, AttachmentRequiredError, RankRelationError, \
     Transform, TransformError, apply_transform, verify_rank_relation, \
@@ -463,25 +463,22 @@ def _check_io_equivalence(m: Model, failures: list) -> Sides:
 
 
 def _check_counts(m: Model, sides: Sides, failures: list):
-    lhs_n, rhs_n = nonconstant_counts(m)
+    """Compare the forest route's non-constant coefficients, order by
+    order, with the layout of the coefficient map."""
     (out,) = m.outputs
     (inp,) = m.inputs
-    cs = sides[0][:-1]
+    cs = sides[0]
     ds = sides[1][out, inp]
     # a packed coefficient is non-constant when it has a nonzero code
-    got_lhs = sum(any(c) for c in cs)
-    got_rhs = sum(any(d) for d in ds)
-    if (got_lhs, got_rhs) != (lhs_n, rhs_n):
+    orders = range(m.n - 1, -1, -1)
+    got = tuple([(out, None, k) for k in orders if any(cs[k])]
+                + [(out, inp, k) for k in orders if any(ds[k])])
+    want = coefficient_map(m).coeffs
+    if got != want:
         failures.append(f"count mismatch: {model_to_dict(m)}: "
-                        f"({got_lhs},{got_rhs}) != ({lhs_n},{rhs_n})")
-    if not m.leaks and cs[0]:
-        failures.append(f"c0 nonzero for leakless model {model_to_dict(m)}")
+                        f"{list(got)} != {list(want)}")
     if inp == out and ds[m.n - 1] != {0: 1}:
         failures.append(f"d_(n-1) != 1 with input = output {model_to_dict(m)}")
-    if inp != out:
-        length = int(distance(m, inp, out))
-        if any(ds[m.n - k] for k in range(1, length + 1)):
-            failures.append(f"leading d's nonzero {model_to_dict(m)}")
 
 
 def _check_flip_equality(m: Model, failures: list):
@@ -577,10 +574,12 @@ def build_parser() -> _Parser:
                                  "models from graph structure")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_model=True):
+    def common(p, with_model=True, ranked=True):
         if with_model:
             p.add_argument("model", help="path to a model JSON file")
         p.add_argument("--json", action="store_true", help="JSON output")
+        if not ranked:
+            return
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
                        help="random evaluation trials for rank computations")
@@ -592,14 +591,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("coeffs", help="input-output equation coefficients")
-    common(p)
+    common(p, ranked=False)
     p.add_argument("--method", choices=("forest", "det", "both"),
                    default="both",
                    help="coefficient route; 'both' cross-checks them")
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("transform", help="rewrite a model, report guarantees")
-    common(p)
+    common(p, ranked=False)
     p.add_argument("--op", choices=ALL_KINDS, required=True)
     p.add_argument("--at", type=int, default=None,
                    help="compartment the operation applies to")

@@ -165,23 +165,34 @@ def forest_rhs(m: Model, out: int, inp: int,
     return [sums[n - k - 1] for k in range(n)]
 
 
-def nonconstant_counts(m: Model) -> tuple[int, int]:
-    """Counts of non-constant coefficients (left side, right side).
+def nonconstant_sizes(n: int, leaky: bool,
+                      dist: Optional[int] = None) -> range:
+    """The count law of a strongly connected model with n compartments:
+    the forest sizes (edge counts) whose sums are non-constant.
 
-    Closed form for strongly connected single-input single-output models:
-    n (with leaks) or n-1 (leakless) on the left; n-1 when input equals
-    output, else n-L with L the input-to-output distance.
+    A forest sum has positive coefficients and is homogeneous of degree
+    its edge count, so it is non-constant exactly when a forest of its
+    size, at least one edge, exists.  Those sizes run 1..n on the left
+    side (``dist`` None) with leaks and 1..n-1 without, and
+    max(dist, 1)..n-1 on the right of an (output, input) pair at distance
+    ``dist``: a forest that joins the two contains a path between them.
     """
+    if dist is None:
+        return range(1, n + 1 if leaky else n)
+    return range(max(dist, 1), n)
+
+
+def nonconstant_counts(m: Model) -> tuple[int, int]:
+    """Counts of non-constant coefficients (left side, right side) of a
+    strongly connected single-input single-output model, by the count law
+    :func:`nonconstant_sizes`."""
     if len(m.inputs) != 1 or len(m.outputs) != 1:
         raise ValueError("counts require exactly one input and one output")
     if not is_strongly_connected(m):
         raise ValueError("counts require a strongly connected model")
-    n = m.n
-    lhs = n if m.leaks else n - 1
     (inp,) = m.inputs
     (out,) = m.outputs
-    if inp == out:
-        rhs = n - 1
-    else:
-        rhs = n - int(distance(m, inp, out))
-    return lhs, rhs
+    dist = 0 if inp == out else int(distance(m, inp, out))
+    leaky = bool(m.leaks)
+    return (len(nonconstant_sizes(m.n, leaky)),
+            len(nonconstant_sizes(m.n, leaky, dist)))

@@ -29,9 +29,9 @@ The point, the adjugate at it, L and K depend on the graph and the leaks
 alone, not on where inputs and outputs sit, so :func:`generic_ranks`
 evaluates them once per trial for a group of maps that differ only in
 placement; v is packed once per output and w once per input.  Which
-coefficients are non-constant is read off the graph (forest sizes,
-terminal components and the input-to-output distance) in O(n + e), once
-per group by :func:`coefficient_maps`.  No verdict expands a polynomial;
+coefficients are non-constant has a closed form for strongly connected
+models (:func:`~compident.forests.nonconstant_sizes`), read once per
+group by :func:`coefficient_maps`.  No verdict expands a polynomial;
 the forest sums of :attr:`CoefficientMap.entries` serve tests and
 reference digests.
 
@@ -77,9 +77,11 @@ from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .families import is_bidirectional_tree
-from .forests import lhs_coefficients, nonconstant_counts, rhs_coefficients
-from .model import (Model, distance, distances, inductively_strong_order,
-                    is_strongly_connected, param_vector)
+from .forests import (lhs_coefficients, nonconstant_counts, nonconstant_sizes,
+                      rhs_coefficients)
+from .model import (Model, _bfs, distance, distances,
+                    inductively_strong_order, is_strongly_connected,
+                    param_vector)
 from .poly import PRIMES, FieldPoint, Param, Poly
 
 DEFAULT_SEED = 20240101
@@ -198,15 +200,12 @@ def coefficient_map(m: Model) -> CoefficientMap:
 
     ``c_k`` sums the (n-k)-edge forests of the leak-augmented graph, and
     ``d_k`` the (n-k-1)-edge forests of the graph stripped at the output
-    that join input and output.  A forest sum has positive coefficients
-    and is homogeneous of degree its edge count, so a coefficient is
-    non-constant exactly when a forest of its size, at least one edge,
-    exists.  The sizes that exist form an interval.  At the top, every
-    terminal strongly connected component needs a root of its own, so the
-    largest forest has n + 1 minus that many edges.  At the bottom, a
-    forest that joins input and output contains a path between them, so
-    ``d`` starts at dist(input, output) and is empty when the output
-    cannot be reached.
+    that join input and output.  For a strongly connected model the sizes
+    whose sums are non-constant have a closed form
+    (:func:`~compident.forests.nonconstant_sizes`): 1..n on the left with
+    leaks and 1..n-1 without, and max(dist, 1)..n-1 on the right, for
+    dist the distance from input to output.  Raises
+    :class:`NotStronglyConnectedError` for any other model.
     """
     return coefficient_maps([m])[0]
 
@@ -215,9 +214,10 @@ def coefficient_maps(models: Sequence[Model]) -> list[CoefficientMap]:
     """:func:`coefficient_map` of each model, reading each graph fact once.
 
     The models must share the compartment count, edges and leaks; they may
-    place inputs and outputs anywhere.  The left side's terminal
-    components are then counted once for the group, the stripped graph's
-    once per output and the distances by one search per input.
+    place inputs and outputs anywhere.  Strong connectivity is checked
+    once for the group: the search from its first input, which the
+    distances need anyway, and one back to it must reach every
+    compartment.  The distances take one search per input.
     """
     if not models:
         return []
@@ -228,79 +228,27 @@ def coefficient_maps(models: Sequence[Model]) -> list[CoefficientMap]:
     if not all(m.inputs for m in models):
         raise NoInputError("model has no inputs")
     n = model.n
-    succ: list[list[int]] = [[] for _ in range(n + 1)]   # node 0: leak sink
-    for (f, t) in model.edges:
-        succ[f].append(t)
-    for j in model.leaks:
-        succ[j].append(0)
-    lhs_top = n + 1 - _terminal_components(succ)
-    rhs_tops: dict[int, int] = {}
-    reach: dict[int, dict[int, int]] = {}
+    first = min(model.inputs)
+    reach = {first: distances(model, first)}
+    if not len(reach[first]) == n == len(
+            _bfs([(t, f) for (f, t) in model.edges], first)):
+        raise NotStronglyConnectedError(
+            "coefficient maps are laid out for strongly connected models only")
+    leaky = bool(model.leaks)
     params = param_vector(model)
     cms = []
     for m in models:
         outs = sorted(m.outputs)
         coeffs: list[tuple[int, Optional[int], int]] = [
-            (outs[0], None, n - s) for s in range(1, lhs_top + 1)]
+            (outs[0], None, n - s) for s in nonconstant_sizes(n, leaky)]
         for out in outs:
-            if out not in rhs_tops:
-                rhs_tops[out] = n + 1 - _terminal_components(
-                    succ[:out] + [[]] + succ[out + 1:])
             for inp in sorted(m.inputs):
                 if inp not in reach:
                     reach[inp] = distances(m, inp)
-                dist = reach[inp].get(out)
-                if dist is not None:
-                    coeffs += [(out, inp, n - 1 - s) for s in
-                               range(max(dist, 1), rhs_tops[out] + 1)]
+                coeffs += [(out, inp, n - 1 - s) for s in
+                           nonconstant_sizes(n, leaky, reach[inp][out])]
         cms.append(CoefficientMap(m, params, tuple(coeffs)))
     return cms
-
-
-def _terminal_components(succ: list[list[int]]) -> int:
-    """Strongly connected components with no edge leaving them.
-
-    Iterative Tarjan: a component is complete when it is popped, and every
-    component it has edges into was popped before it.
-    """
-    size = len(succ)
-    index = [0] * size        # visit order, from 1; 0 = unvisited
-    low = [0] * size
-    comp = [-1] * size
-    stack: list[int] = []
-    visits = components = terminal = 0
-    for root in range(size):
-        if index[root]:
-            continue
-        visits += 1
-        index[root] = low[root] = visits
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if not index[w]:
-                    visits += 1
-                    index[w] = low[w] = visits
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if comp[w] < 0:               # w is still on the stack
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    members = []
-                    while not members or members[-1] != v:
-                        members.append(stack.pop())
-                        comp[members[-1]] = components
-                    terminal += all(comp[w] == components
-                                    for u in members for w in succ[u])
-                    components += 1
-    return terminal
 
 
 def _pack(values: Sequence[int], s: int) -> int:

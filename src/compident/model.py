@@ -149,6 +149,8 @@ def parse_model(text: str) -> Model:
         doc = json.loads(text)
     except ValueError as exc:       # a JSONDecodeError, or an int too long
         raise ModelValidationError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:   # nested deeper than the decoder recurses
+        raise ModelValidationError(f"nested too deeply: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelValidationError("top level: expected a JSON object")
     for key in doc:

@@ -23,8 +23,8 @@ from compident.determinant import _laplace
 from compident.forests import forest_sums_by_size, lhs_coefficients, \
     rhs_coefficients
 from compident.graphs import AuxGraph, flip_into_leak
-from compident.identify import RankReport, TrialResult
-from compident.model import Model
+from compident.identify import CoefficientMap, RankReport, TrialResult
+from compident.model import Model, param_vector
 from compident.poly import PRIMES, FieldPoint, Monomial, Param, Poly, \
     _Codec, param_name
 
@@ -506,21 +506,21 @@ def symbolic_jacobian_mod_point(entries, params, point) -> list[list[int]]:
     return rows
 
 
-def symbolic_labels(m: Model) -> tuple[str, ...]:
-    """Coefficient-map labels from the expanded forest polynomials: every
-    coefficient that is not a constant, in the map's order.  The left
-    side is shared by every equation and listed once, under the first
-    output."""
+def symbolic_map(m: Model) -> CoefficientMap:
+    """The coefficient map laid out from the expanded forest polynomials:
+    every coefficient that is not a constant, in the map's order, for any
+    model with inputs, strongly connected or not.  The left side is shared
+    by every equation and listed once, under the first output."""
     cs = lhs_coefficients(m)
     outs = sorted(m.outputs)
-    labels = [f"y{outs[0]}.c{k}" for k in range(m.n - 1, -1, -1)
-              if not cs[k].is_constant()]
+    orders = range(m.n - 1, -1, -1)
+    coeffs = [(outs[0], None, k) for k in orders if not cs[k].is_constant()]
     for out in outs:
         for inp in sorted(m.inputs):
             _sign, ds = rhs_coefficients(m, out, inp)
-            labels += [f"y{out}.u{inp}.d{k}" for k in range(m.n - 1, -1, -1)
+            coeffs += [(out, inp, k) for k in orders
                        if not ds[k].is_constant()]
-    return tuple(labels)
+    return CoefficientMap(m, param_vector(m), tuple(coeffs))
 
 
 # ---------------------------------------------------------------------

@@ -188,6 +188,7 @@ _USER_FILES = {
                  '"in": [1], "out": [2], "leak": []}',
     "noin.json": '{"compartments": 2, "edges": [{"from": 1, "to": 2}, '
                  '{"from": 2, "to": 1}], "in": [], "out": [1], "leak": []}',
+    "deep.json": "[" * 200_000,
 }
 
 
@@ -236,6 +237,19 @@ _USER_FILES = {
      EXIT_INVALID_MODEL, "error: compartment 1 already leaks"),
     (["transform", "--op", "remove-leak", "--at", "2", "{fx}/cat3_leak1.json"],
      EXIT_INVALID_MODEL, "error: compartment 2 has no leak to remove"),
+    # --seed and --trials belong to the commands that compute a rank
+    (["coeffs", "{fx}/k3_leak.json", "--seed", "1"], EXIT_USAGE,
+     "error: unrecognized arguments: --seed 1"),
+    (["transform", "--op", "add-leak", "--at", "1", "{fx}/k3_leak.json",
+      "--trials", "2"], EXIT_USAGE, "error: unrecognized arguments: --trials 2"),
+    # a model file nested deeper than the JSON decoder recurses
+    (["analyze", "{tmp}/deep.json"], EXIT_INVALID_MODEL,
+     "invalid model: nested too deeply: maximum recursion depth exceeded.*"),
+    (["coeffs", "{tmp}/deep.json"], EXIT_INVALID_MODEL,
+     "invalid model: nested too deeply: maximum recursion depth exceeded.*"),
+    (["transform", "--op", "add-leak", "--at", "1", "{tmp}/deep.json"],
+     EXIT_INVALID_MODEL,
+     "invalid model: nested too deeply: maximum recursion depth exceeded.*"),
 ])
 def test_user_errors_exit_with_a_reason(capsys, tmp_path, fixtures_dir, argv,
                                         code, last):
@@ -629,22 +643,22 @@ def test_sweep_trees_evaluates_one_adjugate_per_tree_and_leak_set(
 
 
 def test_sweep_trees_lays_out_each_group_once(monkeypatch, capsys, tmp_path):
-    # per (tree, leak set) group: one left-side Tarjan pass, one per
-    # output and one search per input, not two passes and one search per
-    # model; for n <= 4 that is 203 groups of n^2 models.  Classifying
+    # per (tree, leak set) group: one search per input, whose first also
+    # checks strong connectivity with one search backwards, not one search
+    # per model; for n <= 4 that is 203 groups of n^2 models.  Classifying
     # adds per tree one search for the tree test and one per input for
     # the distances.  Calls made in forked sweep workers count too.
     trees = {1: 1, 2: 1, 3: 3, 4: 16}
     groups = {1: 2, 2: 4, 3: 21, 4: 176}
-    tarjan = count_calls_across_forks(monkeypatch, tmp_path / "tarjan",
-                                      identify, "_terminal_components")
     searches = count_calls_across_forks(monkeypatch, tmp_path / "searches",
                                         model, "distances")
+    every = count_calls_across_forks(monkeypatch, tmp_path / "every",
+                                     model, "_bfs")
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
-    assert len(tarjan()) == sum((1 + n) * g for n, g in groups.items()) == 980
     assert len(searches()) == sum(n * g for n, g in groups.items()) \
         + sum((1 + n) * t for n, t in trees.items()) == 874
+    assert len(every()) == 874 + sum(groups.values()) == 1077
 
 
 @pytest.mark.parametrize("seed,digest", [

@@ -46,14 +46,14 @@ from compident.identify import (
 )
 from compident import model as model_module
 from compident.forests import lhs_coefficients, rhs_coefficients
-from compident.model import Model, distance, model_to_dict
+from compident.model import Model, distance, model_to_dict, param_vector
 from compident.poly import PRIMES, FieldPoint, Poly
 
 from conftest import (adjugate_at, all_digraphs, closure_strongly_connected,
                       count_calls, eval_mod, jacobian_at, mk,
                       partial_derivative, rank_mod, rational_generic_rank,
                       reference_generic_rank, symbolic_jacobian_mod_point,
-                      symbolic_labels)
+                      symbolic_map)
 
 REF = reference_models()
 FIG1 = REF["k3_leak"]
@@ -100,6 +100,7 @@ def test_coefficient_maps_equal_one_map_at_a_time():
     # graphs that are not trees, some not strongly connected, with several
     # inputs and outputs and placements that cannot reach an output
     rng = random.Random(73)
+    connected = 0
     for _ in range(40):
         n = rng.randrange(1, 7)
         edges = [e for e in itertools.permutations(range(1, n + 1), 2)
@@ -109,7 +110,18 @@ def test_coefficient_maps_equal_one_map_at_a_time():
                    rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
                   for _ in range(rng.randrange(1, 6))]
         models = [mk(n, edges, ins, outs, leaks) for ins, outs in places]
-        assert coefficient_maps(models) == [coefficient_map(m) for m in models]
+        if closure_strongly_connected(n, edges):
+            assert coefficient_maps(models) == \
+                [coefficient_map(m) for m in models]
+            connected += 1
+            continue
+        # the count law holds for strongly connected models only
+        with pytest.raises(NotStronglyConnectedError):
+            coefficient_maps(models)
+        for m in models:
+            with pytest.raises(NotStronglyConnectedError):
+                coefficient_map(m)
+    assert connected == 13      # of 40 groups
     assert coefficient_maps([]) == []
 
 
@@ -160,14 +172,20 @@ def test_jacobian_fast_path_with_higher_exponents():
 # -- adjugate route against the symbolic oracle ---------------------------------
 
 def _assert_matches_oracle(m, seed=DEFAULT_SEED):
-    """Equal labels (hence m); at each trial's point and prime, the full
+    """The oracle's map, laid out from the expanded coefficients: equal to
+    coefficient_map(m) for a strongly connected model, and refused by
+    coefficient_map for any other.  At each trial's point and prime, the full
     Jacobian equal to the oracle's, and for each (output, input) pair one
     package row per coefficient, spanning with the left-side rows what
     the oracle's rows of the pair span with them: rank(left + package) =
     rank(left + oracle) = rank(left + both); and generic_rank's per-trial
     ranks equal to the oracle's."""
-    cm = coefficient_map(m)
-    assert cm.labels == symbolic_labels(m), model_to_dict(m)
+    cm = symbolic_map(m)
+    if closure_strongly_connected(m.n, m.edges):
+        assert coefficient_map(m) == cm, model_to_dict(m)
+    else:
+        with pytest.raises(NotStronglyConnectedError):
+            coefficient_map(m)
     oracle_ranks = []
     for t, prime in enumerate(PRIMES):
         point = FieldPoint.random(cm.params, prime, random.Random(seed + t))
@@ -255,7 +273,7 @@ def test_point_reads_the_oracle_adjugate_exhaustive():
         places = list(itertools.product(range(1, n + 1), repeat=2))
         for size in range(min(n, 2) + 1):
             for leaks in itertools.combinations(range(1, n + 1), size):
-                params = coefficient_map(mk(n, edges, [1], [1], leaks)).params
+                params = param_vector(mk(n, edges, [1], [1], leaks))
                 for t, prime in enumerate(PRIMES):
                     point = FieldPoint.random(params, prime, random.Random(t))
                     _assert_point_reads_the_oracle(n, params, point, places)
@@ -281,7 +299,7 @@ def test_point_reads_the_oracle_adjugate_random():
         models.append((n, sorted(edges), [1], [n], [2]))
     widths = []
     for n, edges, ins, outs, leaks in models:
-        params = coefficient_map(mk(n, edges, ins, outs, leaks)).params
+        params = param_vector(mk(n, edges, ins, outs, leaks))
         for prime in PRIMES:
             point = FieldPoint.random(params, prime,
                                       random.Random(rng.randrange(10 ** 6)))
@@ -313,13 +331,32 @@ def test_point_leaves_no_cyclic_garbage():
 
 
 def test_coefficient_map_unreachable_output():
-    # the input cannot reach the output: no right-side coefficients
+    # the input cannot reach the output: no right-side coefficients, and
+    # no layout, since the count law holds for strongly connected models
     for m in (mk(3, [(2, 1), (3, 2)], [1], [3], [1]),
               mk(4, [(1, 2), (2, 1), (3, 4), (4, 3)], [1], [3], [2, 4]),
               mk(3, [(1, 2), (2, 3)], [3], [1])):
-        cm = coefficient_map(m)
-        assert all(inp is None for (_out, inp, _k) in cm.coeffs)
+        with pytest.raises(NotStronglyConnectedError):
+            coefficient_map(m)
+        assert all(inp is None for (_out, inp, _k) in symbolic_map(m).coeffs)
         _assert_matches_oracle(m)
+
+
+def test_layout_lists_the_nonconstant_forest_coefficients_exhaustive():
+    # every strongly connected digraph with n <= 3, every nonempty input
+    # and output set and every leak set: the count law lays out exactly
+    # the forest-route coefficients that are not constant
+    checked = 0
+    for n, edges in all_digraphs(3):
+        if not closure_strongly_connected(n, edges):
+            continue
+        sets = [s for k in range(n + 1)
+                for s in itertools.combinations(range(1, n + 1), k)]
+        for ins, outs, leaks in itertools.product(sets[1:], sets[1:], sets):
+            m = mk(n, edges, ins, outs, leaks)
+            assert coefficient_map(m) == symbolic_map(m), model_to_dict(m)
+            checked += 1
+    assert checked == 7094
 
 
 def test_generic_rank_triangle_frozen():
