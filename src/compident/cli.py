@@ -52,7 +52,7 @@ EXIT_USAGE = 1
 EXIT_INVALID_MODEL = 2
 EXIT_INTERNAL = 3
 
-_SWEEP_HARD_CAP = 6
+_SWEEP_HARD_CAP = 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -273,23 +273,25 @@ def _sweep_frame(n: int):
 def _sweep_tree(task, trials: int, seed: int):
     """One labeled tree of the sweep, end to end.
 
-    ``task`` is ``(n, und)``.  The n^2 placements of one leak set form a
-    group: :func:`coefficient_maps` lays out their maps from one set of
-    graph facts, and :func:`generic_ranks` ranks them together,
-    evaluating each trial's point and adjugate once for all of them.  The
-    tree test runs once and the distance search once per input.  Returns
-    ``(models, identifiable, disagreements)``, the disagreements by input,
-    output and leak set.
+    ``task`` is ``(n, und)``.  :func:`coefficient_maps` lays out the maps
+    of every placement and leak set from one set of graph facts, and the
+    n^2 placements of one leak set form a group that
+    :func:`generic_ranks` ranks together, evaluating each trial's point
+    and adjugate once for all of them.  The tree test runs once and the
+    distance search once per input.  Returns ``(models, identifiable,
+    disagreements)``, the disagreements by input, output and leak set.
     """
     n, und = task
     places, leak_sets = _sweep_frame(n)
     edges = frozenset(e for (a, b) in und for e in ((a, b), (b, a)))
+    cms = coefficient_maps([Model(n, edges, ins, outs, leak_set)
+                            for _leaks, leak_set in leak_sets
+                            for (_inp, _out, ins, outs) in places])
     ranked = {}
-    for leaks, leak_set in leak_sets:
-        cms = coefficient_maps([Model(n, edges, ins, outs, leak_set)
-                                for (_inp, _out, ins, outs) in places])
-        reports = generic_ranks(cms, trials=trials, seed=seed)
-        for (inp, out, _ins, _outs), cm, report in zip(places, cms, reports):
+    for g, (leaks, _leak_set) in enumerate(leak_sets):
+        group = cms[g * len(places):(g + 1) * len(places)]
+        reports = generic_ranks(group, trials=trials, seed=seed)
+        for (inp, out, _ins, _outs), cm, report in zip(places, group, reports):
             ranked[inp, out, leaks] = (cm.p, report.rank)
     tree = cms[0].model
     if not families.is_bidirectional_tree(tree):
@@ -311,6 +313,39 @@ def _sweep_tree(task, trials: int, seed: int):
                 count += 1
                 identifiable += by_rank
     return count, identifiable, disagreements
+
+
+def _tree_code(n: int, und) -> str:
+    """The AHU code of the unlabeled tree of a labeled tree on 1..n.
+
+    Two labeled trees get the same code exactly when they are isomorphic.
+    Leaves are peeled layer by layer down to the one or two centers,
+    which every isomorphism maps onto each other; the code of the tree
+    rooted at a center nests, between parentheses, the sorted codes of
+    the subtrees below each vertex.  A tree with two centers takes the
+    smaller of its two codes.
+    """
+    adj = {v: [] for v in range(1, n + 1)}
+    for a, b in und:
+        adj[a].append(b)
+        adj[b].append(a)
+    degree = {v: len(near) for v, near in adj.items()}
+    layer = [v for v, d in degree.items() if d <= 1]
+    left = n
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for u in adj[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    peeled.append(u)
+        layer = peeled
+
+    def code(v, parent) -> str:
+        return "(" + "".join(sorted(code(u, v) for u in adj[v]
+                                    if u != parent)) + ")"
+    return min(code(center, None) for center in layer)
 
 
 def _usable_cpus() -> int:
@@ -397,24 +432,42 @@ def _forked_worker(func, tasks: Sequence, write: int):
 def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
     """Exhaustive tree comparison: Jacobian rank versus the tree theorem.
 
-    Iterates every labeled tree on up to max_n vertices, every input and
+    Covers every labeled tree on up to max_n vertices, every input and
     output placement and every leak set of size at most 2, and compares
     the rank verdict against the tree theorem (:func:`tree_identifiable`).
-    Each tree is one task of :func:`_sweep_tree`, and the tasks run on
-    every usable CPU (:func:`_map_forked`).  Returns a summary dict with
-    any disagreements (expected none), listed by tree, input, output and
-    leak set; it does not depend on the number of CPUs.
+    Both are invariant under relabelling compartments, so the labeled
+    trees are grouped into isomorphism classes (:func:`_tree_code`) and
+    :func:`_sweep_tree` runs on the first labeled member of each class,
+    its counts weighted by the class size.  A class whose representative
+    disagrees anywhere is swept member by member instead, so its counts
+    and disagreements come from the labeled trees themselves.  The tasks
+    run on every usable CPU (:func:`_map_forked`).  Returns a summary
+    dict with any disagreements (expected none), listed by labeled tree,
+    input, output and leak set; it does not depend on the number of CPUs.
     """
     tasks = [(n, und) for n in range(1, max_n + 1)
              for und in families.labeled_trees(n)]
-    results = _map_forked(
-        functools.partial(_sweep_tree, trials=trials, seed=seed), tasks)
+    codes: dict[str, list[int]] = {}
+    for i, (n, und) in enumerate(tasks):
+        codes.setdefault(_tree_code(n, und), []).append(i)
+    classes = list(codes.values())
+    sweep = functools.partial(_sweep_tree, trials=trials, seed=seed)
+    reps = _map_forked(sweep, [tasks[members[0]] for members in classes])
+    weighted = {}           # task index -> (weight, result)
+    expand = []
+    for members, result in zip(classes, reps):
+        weighted[members[0]] = (1 if result[2] else len(members), result)
+        if result[2]:
+            expand += members[1:]
+    results = _map_forked(sweep, [tasks[i] for i in expand])
+    weighted.update((i, (1, result)) for i, result in zip(expand, results))
     per_n = {str(n): 0 for n in range(1, max_n + 1)}
     disagreements = []
     identifiable = 0
-    for (n, _und), (count, found, disagree) in zip(tasks, results):
-        per_n[str(n)] += count
-        identifiable += found
+    for i in sorted(weighted):
+        weight, (count, found, disagree) = weighted[i]
+        per_n[str(tasks[i][0])] += weight * count
+        identifiable += weight * found
         disagreements += disagree
     total = sum(per_n.values())
     return {"max_n": max_n, "trials": trials, "seed": seed, "models": total,

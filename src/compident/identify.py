@@ -30,8 +30,8 @@ alone, not on where inputs and outputs sit, so :func:`generic_ranks`
 evaluates them once per trial for a group of maps that differ only in
 placement; v is packed once per output and w once per input.  Which
 coefficients are non-constant has a closed form for strongly connected
-models (:func:`~compident.forests.nonconstant_sizes`), read once per
-group by :func:`coefficient_maps`.  No verdict expands a polynomial;
+models (:func:`~compident.forests.nonconstant_sizes`), read by
+:func:`coefficient_maps` once per graph for every leak set on it.  No verdict expands a polynomial;
 the forest sums of :attr:`CoefficientMap.entries` serve tests and
 reference digests.
 
@@ -213,18 +213,19 @@ def coefficient_map(m: Model) -> CoefficientMap:
 def coefficient_maps(models: Sequence[Model]) -> list[CoefficientMap]:
     """:func:`coefficient_map` of each model, reading each graph fact once.
 
-    The models must share the compartment count, edges and leaks; they may
-    place inputs and outputs anywhere.  Strong connectivity is checked
-    once for the group: the search from its first input, which the
-    distances need anyway, and one back to it must reach every
-    compartment.  The distances take one search per input.
+    The models must share the compartment count and edges; they may place
+    inputs, outputs and leaks anywhere.  Distances and strong connectivity
+    depend on the edges alone, so they serve every leak set: strong
+    connectivity is checked once for the group (the search from its first
+    input, which the distances need anyway, and one back to it must reach
+    every compartment), and the distances take one search per input.
+    Whether a model leaks, and its parameter vector, are read per leak set.
     """
     if not models:
         return []
     model = models[0]
-    if any((m.n, m.edges, m.leaks) != (model.n, model.edges, model.leaks)
-           for m in models):
-        raise ValueError("models must share compartments, edges and leaks")
+    if any((m.n, m.edges) != (model.n, model.edges) for m in models):
+        raise ValueError("models must share compartments and edges")
     if not all(m.inputs for m in models):
         raise NoInputError("model has no inputs")
     n = model.n
@@ -234,10 +235,12 @@ def coefficient_maps(models: Sequence[Model]) -> list[CoefficientMap]:
             _bfs([(t, f) for (f, t) in model.edges], first)):
         raise NotStronglyConnectedError(
             "coefficient maps are laid out for strongly connected models only")
-    leaky = bool(model.leaks)
-    params = param_vector(model)
+    params = {}
     cms = []
     for m in models:
+        leaky = bool(m.leaks)
+        if m.leaks not in params:
+            params[m.leaks] = param_vector(m)
         outs = sorted(m.outputs)
         coeffs: list[tuple[int, Optional[int], int]] = [
             (outs[0], None, n - s) for s in nonconstant_sizes(n, leaky)]
@@ -247,7 +250,7 @@ def coefficient_maps(models: Sequence[Model]) -> list[CoefficientMap]:
                     reach[inp] = distances(m, inp)
                 coeffs += [(out, inp, n - 1 - s) for s in
                            nonconstant_sizes(n, leaky, reach[inp][out])]
-        cms.append(CoefficientMap(m, params, tuple(coeffs)))
+        cms.append(CoefficientMap(m, params[m.leaks], tuple(coeffs)))
     return cms
 
 

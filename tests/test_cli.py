@@ -1,8 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import collections
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -206,8 +208,8 @@ _USER_FILES = {
      "error: argument --trials: must be at least 1, got -1"),
     (["sweep-trees", "--max-n", "0"], EXIT_USAGE,
      "error: argument --max-n: must be at least 1, got 0"),
-    (["sweep-trees", "--max-n", "7"], EXIT_USAGE,
-     "error: --max-n larger than 6 is not supported"),
+    (["sweep-trees", "--max-n", "8"], EXIT_USAGE,
+     "error: --max-n larger than 7 is not supported"),
     (["transform", "--op", "add-leak", "{fx}/chorded_cycle3.json"], EXIT_USAGE,
      "error: --at is required for this operation"),
     (["transform", "--op", "add-leaf-move-out", "{fx}/cat2_in1_out2.json"],
@@ -588,31 +590,111 @@ def test_sweep_trees_disagreement_order(monkeypatch):
             {k: v for k, v in plain.items() if k != "disagreements"}
 
 
+def _is_path(n, und):
+    return all(d <= 2 for d in collections.Counter(
+        v for edge in und for v in edge).values())
+
+
+def _labeled_sweep(max_n, trials, seed):
+    """The sweep summary from every labeled tree, none skipped: the sum of
+    ``cli._sweep_tree`` over the trees in labeled order."""
+    per_n = {str(n): 0 for n in range(1, max_n + 1)}
+    identifiable, disagreements = 0, []
+    for n in range(1, max_n + 1):
+        for und in labeled_trees(n):
+            count, found, disagree = cli._sweep_tree((n, und), trials, seed)
+            per_n[str(n)] += count
+            identifiable += found
+            disagreements += disagree
+    total = sum(per_n.values())
+    return {"max_n": max_n, "trials": trials, "seed": seed, "models": total,
+            "identifiable": identifiable,
+            "unidentifiable": total - identifiable,
+            "per_n": per_n, "disagreements": disagreements}
+
+
+def test_tree_code_classes_are_the_unlabeled_trees():
+    # the number of unlabeled trees on n vertices, and the n^(n-2) labeled
+    # trees split among them; paths form one class of n!/2 members
+    for n, unlabeled in enumerate([1, 1, 1, 2, 3, 6, 11], start=1):
+        classes = collections.defaultdict(list)
+        for und in labeled_trees(n):
+            classes[cli._tree_code(n, und)].append(und)
+        assert len(classes) == unlabeled
+        assert sum(map(len, classes.values())) == max(1, n ** (n - 2))
+        paths = [c for c in classes.values() if _is_path(n, c[0])]
+        assert len(paths) == 1
+        assert all(_is_path(n, und) for und in paths[0])
+        assert len(paths[0]) == max(1, math.factorial(n) // 2)
+
+
+def test_sweep_trees_expands_a_disagreeing_class(monkeypatch):
+    # the verdict inverted on the n = 4 paths only: the path class is
+    # swept member by member, so its 12 labeled paths are listed in
+    # labeled order with all of their 16 * 11 models, and the counts
+    # stay those of the plain sweep
+    sweep = cli._sweep_tree
+
+    def inverted_on_paths(task, trials, seed):
+        n, und = task
+        with monkeypatch.context() as patch:
+            if n == 4 and _is_path(n, und):
+                patch.setattr(cli, "tree_identifiable", lambda dist, leaks:
+                              not identify.tree_identifiable(dist, leaks))
+            return sweep(task, trials, seed)
+
+    plain = run_tree_sweep(4, 3, 5)
+    assert plain["disagreements"] == []
+    paths = [sorted(und) for und in labeled_trees(4) if _is_path(4, und)]
+    assert len(paths) == 12
+    monkeypatch.setattr(cli, "_sweep_tree", inverted_on_paths)
+    oracle = _labeled_sweep(4, 3, 5)
+    for cpus in (1, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        swept = run_tree_sweep(4, 3, 5)
+        assert swept == oracle
+        listed = swept["disagreements"]
+        assert len(listed) == 12 * 16 * 11
+        assert [d["edges"] for d in listed[::16 * 11]] == paths
+        assert {k: v for k, v in swept.items() if k != "disagreements"} == \
+            {k: v for k, v in plain.items() if k != "disagreements"}
+
+
 @pytest.mark.parametrize("seed", [2, 11])
 def test_sweep_trees_serial_and_forked_agree(monkeypatch, tmp_path, seed):
-    # three slices of 21 trees (7 each, n = 4 trees in every slice) merged
-    # back in tree order give the serial summary, tuples included
+    # the class sweep gives the summary of every labeled tree, and three
+    # slices of the 5 class representatives for n <= 4 merged back in
+    # task order give the serial summary, tuples included
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     serial = run_tree_sweep(4, 3, seed)
+    assert serial == _labeled_sweep(4, 3, seed)
     workers = count_calls_across_forks(monkeypatch, tmp_path / "pids", cli,
                                        "_sweep_tree")
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     forked = run_tree_sweep(4, 3, seed)
     assert forked == serial and serial["models"] == 3023
     pids = workers()
-    assert len(pids) == 21
+    assert len(pids) == 5
     assert len(set(pids)) == (3 if hasattr(os, "fork") else 1)
     assert os.getpid() in pids
 
 
 @pytest.mark.parametrize("slot", ["child", "parent"])
 def test_sweep_trees_failure_leaves_no_child(monkeypatch, capsys, slot):
-    # with two slices, tree i runs in the parent for even i and in the
-    # child for odd i; trees 5 and 6 are the first two with n = 4
+    # the tasks are the first labeled member of each class, one class per
+    # unlabeled tree: n = 1, 2, 3, then the n = 4 star and the n = 4 path.
+    # With two slices, task i runs in the parent for even i and in the
+    # child for odd i, so the star (3) fails in the child and the path (4)
+    # in the parent
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    trees = [und for n in range(1, 5) for und in labeled_trees(n)]
-    index = 5 if slot == "child" else 6
-    target = bidirectional_tree_model(4, trees[index], [1], [1]).edges
+    reps = {}
+    for n in range(1, 5):
+        for und in labeled_trees(n):
+            reps.setdefault(cli._tree_code(n, und), und)
+    tasks = list(reps.values())
+    index = 3 if slot == "child" else 4
+    assert _is_path(4, tasks[index]) == (slot == "parent")
+    target = bidirectional_tree_model(4, tasks[index], [1], [1]).edges
     ranks = cli.generic_ranks
 
     def failing(cms, *args, **kwargs):
@@ -632,33 +714,33 @@ def test_sweep_trees_failure_leaves_no_child(monkeypatch, capsys, slot):
 
 def test_sweep_trees_evaluates_one_adjugate_per_tree_and_leak_set(
         monkeypatch, capsys, tmp_path):
-    # 203 (tree, leak set) groups for n <= 4, against 3,023 models; every
-    # tree map reaches min(p, m) at its first trial.  Calls made in forked
-    # sweep workers count too.
+    # 35 (class representative, leak set) groups for n <= 4: 2 + 4 + 7
+    # + 2 * 11, against 3,023 models; every tree map reaches min(p, m) at
+    # its first trial.  Calls made in forked sweep workers count too.
     calls = count_calls_across_forks(monkeypatch, tmp_path / "calls",
                                      identify, "_adjugate")
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
-    assert len(calls()) == 203
+    assert len(calls()) == 35
 
 
 def test_sweep_trees_lays_out_each_group_once(monkeypatch, capsys, tmp_path):
-    # per (tree, leak set) group: one search per input, whose first also
-    # checks strong connectivity with one search backwards, not one search
-    # per model; for n <= 4 that is 203 groups of n^2 models.  Classifying
-    # adds per tree one search for the tree test and one per input for
-    # the distances.  Calls made in forked sweep workers count too.
-    trees = {1: 1, 2: 1, 3: 3, 4: 16}
-    groups = {1: 2, 2: 4, 3: 21, 4: 176}
+    # per swept tree, the maps of every leak set are laid out from one
+    # search per input, whose first also checks strong connectivity with
+    # one search backwards; classifying adds one search for the tree test
+    # and one per input for the distances.  For n <= 4 one tree is swept
+    # per class: 1, 1, 1 and 2 classes.  Calls made in forked sweep
+    # workers count too.
+    classes = {1: 1, 2: 1, 3: 1, 4: 2}
     searches = count_calls_across_forks(monkeypatch, tmp_path / "searches",
                                         model, "distances")
     every = count_calls_across_forks(monkeypatch, tmp_path / "every",
                                      model, "_bfs")
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
-    assert len(searches()) == sum(n * g for n, g in groups.items()) \
-        + sum((1 + n) * t for n, t in trees.items()) == 874
-    assert len(every()) == 874 + sum(groups.values()) == 1077
+    assert len(searches()) == sum((2 * n + 1) * c
+                                  for n, c in classes.items()) == 33
+    assert len(every()) == 33 + sum(classes.values()) == 38
 
 
 @pytest.mark.parametrize("seed,digest", [

@@ -93,10 +93,16 @@ def _tree_groups(max_n):
 
 def test_coefficient_maps_equal_one_map_at_a_time():
     groups = 0
+    trees = {}
     for models in _tree_groups(4):
         assert coefficient_maps(models) == [coefficient_map(m) for m in models]
         groups += 1
+        trees.setdefault(models[0].edges, []).extend(models)
     assert groups == 203
+    # every leak set of a tree in one group, as the tree sweep lays them out
+    for models in trees.values():
+        assert coefficient_maps(models) == [coefficient_map(m) for m in models]
+    assert len(trees) == 21
     # graphs that are not trees, some not strongly connected, with several
     # inputs and outputs and placements that cannot reach an output
     rng = random.Random(73)
@@ -128,10 +134,15 @@ def test_coefficient_maps_equal_one_map_at_a_time():
 def test_coefficient_maps_rejects_mixed_groups_and_missing_inputs():
     base = mk(3, [(1, 2), (2, 3), (3, 1)], [1], [2], [1])
     for other in (mk(3, [(1, 2), (2, 3), (3, 1), (1, 3)], [1], [2], [1]),
-                  mk(3, [(1, 2), (2, 3), (3, 1)], [1], [2], [2]),
                   mk(4, [(1, 2), (2, 3), (3, 1)], [1], [2], [1])):
         with pytest.raises(ValueError, match="must share"):
             coefficient_maps([base, other])
+    # leaks may differ within a group: each map keeps its own parameters
+    models = [base, mk(3, [(1, 2), (2, 3), (3, 1)], [1], [2], [2]),
+              mk(3, [(1, 2), (2, 3), (3, 1)], [1], [2])]
+    cms = coefficient_maps(models)
+    assert cms == [coefficient_map(m) for m in models]
+    assert [cm.p for cm in cms] == [4, 4, 3]
     with pytest.raises(NoInputError):
         coefficient_maps([base, mk(3, [(1, 2), (2, 3), (3, 1)], [], [2], [1])])
 
