@@ -2,8 +2,9 @@
 
 Subcommands: ``analyze`` (verdict + expected dimension), ``coeffs``
 (equation coefficients by either route), ``transform`` (model rewrites),
-``sweep-trees`` (exhaustive tree validation) and ``selftest`` (randomized
-cross-checks of every symbolic identity).
+``sweep-trees`` (exhaustive tree validation, ranking one model per
+symmetry orbit) and ``selftest`` (randomized cross-checks of every
+symbolic identity).  Every command runs in one process.
 
 Exit codes: 0 success, 1 usage error, 2 invalid or out-of-scope model,
 3 internal error or failed self-check.  With the same seed and inputs the
@@ -16,9 +17,7 @@ import argparse
 import functools
 import itertools
 import json
-import os
 import sys
-import threading
 from typing import Mapping, Sequence
 
 from . import families
@@ -40,7 +39,7 @@ from .identify import (
     tree_identifiable,
     verdict_to_dict,
 )
-from .model import Model, ModelValidationError, distances, load_model, \
+from .model import Model, ModelValidationError, load_model, \
     model_to_dict, param_vector
 from .poly import _Codec
 from .transforms import ALL_KINDS, AttachmentRequiredError, RankRelationError, \
@@ -258,60 +257,78 @@ def _leak_sets(n: int, max_size: int):
         yield from itertools.combinations(range(1, n + 1), size)
 
 
-@functools.lru_cache(maxsize=None)
-def _sweep_frame(n: int):
-    """The placements and leak sets of an n-compartment sweep tree, each
-    with its frozenset built once: ``((inp, out, {inp}, {out}), ...)`` and
-    ``((leaks, frozenset(leaks)), ...)``."""
-    singles = {v: frozenset([v]) for v in range(1, n + 1)}
-    places = tuple((inp, out, singles[inp], singles[out])
-                   for inp in range(1, n + 1) for out in range(1, n + 1))
-    return places, tuple((leaks, frozenset(leaks))
-                         for leaks in _leak_sets(n, 2))
+def _automorphisms(n: int, und) -> list[tuple[int, ...]]:
+    """The automorphism group of a labeled tree on 1..n, found by trying
+    all n! relabellings.  Each automorphism is a tuple g with g[v] the
+    image of compartment v (and g[0] = 0)."""
+    edges = {e for (a, b) in und for e in ((a, b), (b, a))}
+    relabellings = itertools.permutations(range(1, n + 1))
+    return [g for g in ((0, *p) for p in relabellings)
+            if all((g[a], g[b]) in edges for (a, b) in und)]
 
 
 def _sweep_tree(task, trials: int, seed: int):
-    """One labeled tree of the sweep, end to end.
+    """One labeled tree of the sweep, end to end, one model per orbit.
 
-    ``task`` is ``(n, und)``.  :func:`coefficient_maps` lays out the maps
-    of every placement and leak set from one set of graph facts, and the
-    n^2 placements of one leak set form a group that
+    ``task`` is ``(n, und, group)``: the tree's edges and a group of its
+    automorphisms (:func:`_automorphisms`, or the identity alone).  An
+    automorphism keeps the edges, so it keeps the rank, the input-output
+    distance and the number of leaks, and every model of one orbit gets
+    the same verdicts.  A leak set is ranked only when it is the least in
+    its orbit, and a placement only when it is the least in its orbit
+    under that leak set's stabilizer; each ranked model stands for its
+    orbit, |orbit(leak set)| x |orbit(placement)| models.  With the
+    identity alone every model is ranked.
+
+    :func:`coefficient_maps` lays out every map from one set of graph
+    facts, and the placements of one leak set form a group that
     :func:`generic_ranks` ranks together, evaluating each trial's point
-    and adjugate once for all of them.  The tree test runs once and the
-    distance search once per input.  Returns ``(models, identifiable,
+    and adjugate once for all of them.  The tree test reads each distance
+    back from its map.  Returns ``(models, identifiable,
     disagreements)``, the disagreements by input, output and leak set.
     """
-    n, und = task
-    places, leak_sets = _sweep_frame(n)
+    n, und, group = task
+    picked = []             # (leak set, [(inp, out, weight)]), in sweep order
+    for leaks in _leak_sets(n, 2):
+        images = [tuple(sorted(g[v] for v in leaks)) for g in group]
+        if min(images) != leaks:
+            continue
+        stabilizer = [g for g, image in zip(group, images) if image == leaks]
+        leak_orbit = len(set(images))
+        places = []
+        for inp, out in itertools.product(range(1, n + 1), repeat=2):
+            orbit = {(g[inp], g[out]) for g in stabilizer}
+            if min(orbit) == (inp, out):
+                places.append((inp, out, leak_orbit * len(orbit)))
+        picked.append((leaks, places))
     edges = frozenset(e for (a, b) in und for e in ((a, b), (b, a)))
-    cms = coefficient_maps([Model(n, edges, ins, outs, leak_set)
-                            for _leaks, leak_set in leak_sets
-                            for (_inp, _out, ins, outs) in places])
-    ranked = {}
-    for g, (leaks, _leak_set) in enumerate(leak_sets):
-        group = cms[g * len(places):(g + 1) * len(places)]
-        reports = generic_ranks(group, trials=trials, seed=seed)
-        for (inp, out, _ins, _outs), cm, report in zip(places, group, reports):
-            ranked[inp, out, leaks] = (cm.p, report.rank)
-    tree = cms[0].model
-    if not families.is_bidirectional_tree(tree):
+    cms = coefficient_maps([
+        Model(n, edges, frozenset([inp]), frozenset([out]), frozenset(leaks))
+        for leaks, places in picked for (inp, out, _weight) in places])
+    rest = iter(cms)
+    ranked = {}     # (inp, out, leak set index) -> (leaks, weight, map, rank)
+    for j, (leaks, places) in enumerate(picked):
+        maps = list(itertools.islice(rest, len(places)))
+        reports = generic_ranks(maps, trials=trials, seed=seed)
+        for (inp, out, weight), cm, report in zip(places, maps, reports):
+            ranked[inp, out, j] = (leaks, weight, cm, report.rank)
+    if not families.is_bidirectional_tree(cms[0].model):
         raise NotATreeError(f"not a bidirectional tree: {sorted(und)}")
     count = identifiable = 0
     disagreements = []
-    for inp in range(1, n + 1):
-        dist = distances(tree, inp)
-        for out in range(1, n + 1):
-            for leaks, _leak_set in leak_sets:
-                params, rank = ranked[inp, out, leaks]
-                by_rank = rank == params
-                if by_rank != tree_identifiable(dist[out], len(leaks)):
-                    disagreements.append({
-                        "n": n, "edges": sorted(und), "in": inp,
-                        "out": out, "leak": sorted(leaks),
-                        "rank": rank, "params": params,
-                    })
-                count += 1
-                identifiable += by_rank
+    for (inp, out, _j), (leaks, weight, cm, rank) in sorted(ranked.items()):
+        # the right side has the forest sizes max(dist, 1)..n-1
+        # (forests.nonconstant_sizes), one per right-side coefficient
+        right = sum(i is not None for (_o, i, _k) in cm.coeffs)
+        by_rank = rank == cm.p
+        if by_rank != tree_identifiable(0 if inp == out else n - right,
+                                        len(leaks)):
+            disagreements.append({
+                "n": n, "edges": sorted(und), "in": inp, "out": out,
+                "leak": list(leaks), "rank": rank, "params": cm.p,
+            })
+        count += weight
+        identifiable += weight * by_rank
     return count, identifiable, disagreements
 
 
@@ -348,87 +365,6 @@ def _tree_code(n: int, und) -> str:
     return min(code(center, None) for center in layer)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _map_forked(func, tasks: Sequence) -> list:
-    """``[func(t) for t in tasks]``, with the tasks split across processes.
-
-    With k = the usable CPUs, capped at the number of tasks, the caller
-    runs ``tasks[0::k]`` and each of k - 1 forked children runs
-    ``tasks[j::k]`` and sends its pickled results back through its own
-    pipe; the results are merged in task order.  Every child is reaped on
-    every path, killed first if the caller's own slice failed, and a
-    child's exception is raised again here.  Without ``os.fork``, or with
-    other threads running (which a fork would not copy), every task runs
-    in this process.
-    """
-    k = min(_usable_cpus(), len(tasks))
-    if k <= 1 or not hasattr(os, "fork") or threading.active_count() != 1:
-        return [func(task) for task in tasks]
-    # imported here so that importing the CLI stays as cheap as before
-    import pickle
-    import signal
-    children = []
-    done = False
-    try:
-        for j in range(1, k):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                os.close(read)
-                _forked_worker(func, tasks[j::k], write)
-            children.append((pid, os.fdopen(read, "rb")))
-            os.close(write)  # before the next fork, so only child j has it
-        slices = [[func(task) for task in tasks[0::k]]]
-        payloads = [pipe.read() for _pid, pipe in children]
-        done = True
-    finally:
-        for pid, pipe in children:
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-    for (pid, _pipe), payload in zip(children, payloads):
-        if not payload:
-            raise RuntimeError(f"sweep worker {pid} exited without a result")
-        failed, value = pickle.loads(payload)
-        if failed:
-            raise value
-        slices.append(value)
-    return [slices[i % k][i // k] for i in range(len(tasks))]
-
-
-def _forked_worker(func, tasks: Sequence, write: int):
-    """The body of a forked child of :func:`_map_forked`: runs ``tasks``,
-    writes ``(failed, results or exception)`` pickled to the pipe end
-    ``write`` and exits, never returning into the caller's stack.  A
-    child that cannot write its outcome exits with status 1 and no
-    result."""
-    import pickle
-    status = 1
-    try:
-        try:
-            outcome = (False, [func(task) for task in tasks])
-        except Exception as exc:  # handed to the parent, which raises it
-            outcome = (True, exc)
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
     """Exhaustive tree comparison: Jacobian rank versus the tree theorem.
 
@@ -438,29 +374,28 @@ def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
     Both are invariant under relabelling compartments, so the labeled
     trees are grouped into isomorphism classes (:func:`_tree_code`) and
     :func:`_sweep_tree` runs on the first labeled member of each class,
-    its counts weighted by the class size.  A class whose representative
-    disagrees anywhere is swept member by member instead, so its counts
-    and disagreements come from the labeled trees themselves.  The tasks
-    run on every usable CPU (:func:`_map_forked`).  Returns a summary
-    dict with any disagreements (expected none), listed by labeled tree,
-    input, output and leak set; it does not depend on the number of CPUs.
+    one model per orbit of its automorphism group, its counts weighted by
+    the class size.  A class whose representative disagrees anywhere is
+    swept member by member with the identity group instead, so its counts
+    and disagreements come from every labeled model.  Everything runs in
+    this process.  Returns a summary dict with any disagreements (expected
+    none), listed by labeled tree, input, output and leak set.
     """
     tasks = [(n, und) for n in range(1, max_n + 1)
              for und in families.labeled_trees(n)]
-    codes: dict[str, list[int]] = {}
+    classes: dict[str, list[int]] = {}
     for i, (n, und) in enumerate(tasks):
-        codes.setdefault(_tree_code(n, und), []).append(i)
-    classes = list(codes.values())
-    sweep = functools.partial(_sweep_tree, trials=trials, seed=seed)
-    reps = _map_forked(sweep, [tasks[members[0]] for members in classes])
+        classes.setdefault(_tree_code(n, und), []).append(i)
     weighted = {}           # task index -> (weight, result)
-    expand = []
-    for members, result in zip(classes, reps):
-        weighted[members[0]] = (1 if result[2] else len(members), result)
-        if result[2]:
-            expand += members[1:]
-    results = _map_forked(sweep, [tasks[i] for i in expand])
-    weighted.update((i, (1, result)) for i, result in zip(expand, results))
+    for members in classes.values():
+        n, und = tasks[members[0]]
+        result = _sweep_tree((n, und, _automorphisms(n, und)), trials, seed)
+        if not result[2]:
+            weighted[members[0]] = (len(members), result)
+            continue
+        identity = [tuple(range(n + 1))]
+        for i in members:
+            weighted[i] = (1, _sweep_tree((*tasks[i], identity), trials, seed))
     per_n = {str(n): 0 for n in range(1, max_n + 1)}
     disagreements = []
     identifiable = 0

@@ -929,52 +929,21 @@ def dropping_a_term(original, when):
     return patched
 
 
-def _wrap_everywhere(monkeypatch, module, name: str, record) -> None:
-    """Wrap ``module.name`` wherever a compident module binds it, calling
-    ``record(args)`` before each call."""
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` wherever a compident module binds it; the
+    returned list gets one entry (the arguments) per call."""
     original = getattr(module, name)
+    calls = []
 
     def counted(*args, **kwargs):
-        record(args)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "compident" \
                 and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
-
-
-def count_calls(monkeypatch, module, name: str) -> list:
-    """Wrap ``module.name`` wherever a compident module binds it; the
-    returned list gets one entry (the arguments) per call."""
-    calls = []
-    _wrap_everywhere(monkeypatch, module, name, calls.append)
     return calls
-
-
-def count_calls_across_forks(monkeypatch, path, module, name: str):
-    """Like :func:`count_calls`, for code that may run in forked children.
-
-    Each call appends the calling process id as one line to the file
-    ``path``, opened with ``O_APPEND``, so children's calls count too.
-    Returns a function that lists the recorded process ids.
-    """
-    path = os.fspath(path)
-    open(path, "w").close()
-
-    def record(_args):
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-        try:
-            os.write(fd, b"%d\n" % os.getpid())
-        finally:
-            os.close(fd)
-
-    _wrap_everywhere(monkeypatch, module, name, record)
-
-    def pids() -> list[int]:
-        with open(path) as fh:
-            return [int(line) for line in fh]
-    return pids
 
 
 # ---------------------------------------------------------------------

@@ -28,8 +28,8 @@ from compident.graphs import leak_augmented
 from compident.identify import coefficient_map, generic_rank
 from compident.model import load_model
 
-from conftest import FIXTURES_DIR, count_calls, count_calls_across_forks, \
-    dropping_a_term, mk, reference_text
+from conftest import FIXTURES_DIR, count_calls, dropping_a_term, mk, \
+    reference_text
 
 with open(os.path.join(FIXTURES_DIR, "manifest.json")) as fh:
     MANIFEST = json.load(fh)
@@ -559,8 +559,7 @@ def test_sweep_trees_small(capsys):
 
 def test_sweep_trees_disagreement_order(monkeypatch):
     # every verdict inverted: all models disagree, listed in the order of
-    # the plain tree -> input -> output -> leak set loop, serially and with
-    # the trees split over forked workers
+    # the plain tree -> input -> output -> leak set loop
     expected = []
     for n in (1, 2, 3):
         for und in labeled_trees(n):
@@ -579,15 +578,12 @@ def test_sweep_trees_disagreement_order(monkeypatch):
     def inverted(dist, leaks):
         return not identify.tree_identifiable(dist, leaks)
 
-    for cpus in (1, 3):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        plain = run_tree_sweep(3, 3, 5)
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "tree_identifiable", inverted)
-            swept = run_tree_sweep(3, 3, 5)
-        assert swept["disagreements"] == expected
-        assert {k: v for k, v in swept.items() if k != "disagreements"} == \
-            {k: v for k, v in plain.items() if k != "disagreements"}
+    plain = run_tree_sweep(3, 3, 5)
+    monkeypatch.setattr(cli, "tree_identifiable", inverted)
+    swept = run_tree_sweep(3, 3, 5)
+    assert swept["disagreements"] == expected
+    assert {k: v for k, v in swept.items() if k != "disagreements"} == \
+        {k: v for k, v in plain.items() if k != "disagreements"}
 
 
 def _is_path(n, und):
@@ -595,14 +591,21 @@ def _is_path(n, und):
         v for edge in und for v in edge).values())
 
 
+def _identity(n):
+    """The group of the identity alone, as ``cli._sweep_tree`` takes it."""
+    return [tuple(range(n + 1))]
+
+
 def _labeled_sweep(max_n, trials, seed):
-    """The sweep summary from every labeled tree, none skipped: the sum of
-    ``cli._sweep_tree`` over the trees in labeled order."""
+    """The sweep summary from every labeled model, none skipped: the sum
+    of ``cli._sweep_tree`` with the identity group over the trees in
+    labeled order."""
     per_n = {str(n): 0 for n in range(1, max_n + 1)}
     identifiable, disagreements = 0, []
     for n in range(1, max_n + 1):
         for und in labeled_trees(n):
-            count, found, disagree = cli._sweep_tree((n, und), trials, seed)
+            count, found, disagree = cli._sweep_tree((n, und, _identity(n)),
+                                                     trials, seed)
             per_n[str(n)] += count
             identifiable += found
             disagreements += disagree
@@ -628,15 +631,52 @@ def test_tree_code_classes_are_the_unlabeled_trees():
         assert len(paths[0]) == max(1, math.factorial(n) // 2)
 
 
+def _tree_classes(max_n):
+    """Every isomorphism class of trees with n <= max_n, as (n, its
+    labeled members), the first member being the class representative."""
+    classes = {}
+    for n in range(1, max_n + 1):
+        for und in labeled_trees(n):
+            classes.setdefault((n, cli._tree_code(n, und)), []).append(und)
+    return [(n, members) for (n, _code), members in classes.items()]
+
+
+def test_automorphisms_fill_out_the_class():
+    # orbit-stabilizer on the n! relabellings of a tree: its class holds
+    # n! / |Aut(T)| labeled trees.  The path has 2 automorphisms (n >= 2)
+    # and the star (n >= 3) has (n - 1)!
+    for n, members in _tree_classes(7):
+        group = cli._automorphisms(n, members[0])
+        assert len(group) * len(members) == math.factorial(n)
+        assert (0, *range(1, n + 1)) in group
+        degrees = collections.Counter(v for edge in members[0] for v in edge)
+        if n >= 2 and _is_path(n, members[0]):
+            assert len(group) == 2
+        if n >= 3 and max(degrees.values()) == n - 1:
+            assert len(group) == math.factorial(n - 1)
+
+
+@pytest.mark.parametrize("seed", [2, 11])
+def test_sweep_tree_orbit_weights_match_the_identity_group(seed):
+    # one model per automorphism orbit, weighted by the orbit size, counts
+    # what ranking every model of the tree counts, on every class
+    # representative with n <= 5
+    for n, (und, *_others) in _tree_classes(5):
+        group = cli._automorphisms(n, und)
+        assert cli._sweep_tree((n, und, group), 3, seed) == \
+            cli._sweep_tree((n, und, _identity(n)), 3, seed)
+
+
 def test_sweep_trees_expands_a_disagreeing_class(monkeypatch):
     # the verdict inverted on the n = 4 paths only: the path class is
-    # swept member by member, so its 12 labeled paths are listed in
+    # swept member by member with the identity group, so its 12 labeled
+    # paths are listed in
     # labeled order with all of their 16 * 11 models, and the counts
     # stay those of the plain sweep
     sweep = cli._sweep_tree
 
     def inverted_on_paths(task, trials, seed):
-        n, und = task
+        n, und, _group = task
         with monkeypatch.context() as patch:
             if n == 4 and _is_path(n, und):
                 patch.setattr(cli, "tree_identifiable", lambda dist, leaks:
@@ -648,99 +688,60 @@ def test_sweep_trees_expands_a_disagreeing_class(monkeypatch):
     paths = [sorted(und) for und in labeled_trees(4) if _is_path(4, und)]
     assert len(paths) == 12
     monkeypatch.setattr(cli, "_sweep_tree", inverted_on_paths)
-    oracle = _labeled_sweep(4, 3, 5)
-    for cpus in (1, 3):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        swept = run_tree_sweep(4, 3, 5)
-        assert swept == oracle
-        listed = swept["disagreements"]
-        assert len(listed) == 12 * 16 * 11
-        assert [d["edges"] for d in listed[::16 * 11]] == paths
-        assert {k: v for k, v in swept.items() if k != "disagreements"} == \
-            {k: v for k, v in plain.items() if k != "disagreements"}
+    swept = run_tree_sweep(4, 3, 5)
+    assert swept == _labeled_sweep(4, 3, 5)
+    listed = swept["disagreements"]
+    assert len(listed) == 12 * 16 * 11
+    assert [d["edges"] for d in listed[::16 * 11]] == paths
+    assert {k: v for k, v in swept.items() if k != "disagreements"} == \
+        {k: v for k, v in plain.items() if k != "disagreements"}
 
 
 @pytest.mark.parametrize("seed", [2, 11])
-def test_sweep_trees_serial_and_forked_agree(monkeypatch, tmp_path, seed):
-    # the class sweep gives the summary of every labeled tree, and three
-    # slices of the 5 class representatives for n <= 4 merged back in
-    # task order give the serial summary, tuples included
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    serial = run_tree_sweep(4, 3, seed)
-    assert serial == _labeled_sweep(4, 3, seed)
-    workers = count_calls_across_forks(monkeypatch, tmp_path / "pids", cli,
-                                       "_sweep_tree")
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    forked = run_tree_sweep(4, 3, seed)
-    assert forked == serial and serial["models"] == 3023
-    pids = workers()
-    assert len(pids) == 5
-    assert len(set(pids)) == (3 if hasattr(os, "fork") else 1)
-    assert os.getpid() in pids
+def test_sweep_trees_class_sweep_equals_labeled_sweep(seed):
+    # one tree per class and one model per automorphism orbit give the
+    # summary of every labeled model, tuples included
+    summary = run_tree_sweep(4, 3, seed)
+    assert summary == _labeled_sweep(4, 3, seed)
+    assert summary["models"] == 3023
 
 
-@pytest.mark.parametrize("slot", ["child", "parent"])
-def test_sweep_trees_failure_leaves_no_child(monkeypatch, capsys, slot):
-    # the tasks are the first labeled member of each class, one class per
-    # unlabeled tree: n = 1, 2, 3, then the n = 4 star and the n = 4 path.
-    # With two slices, task i runs in the parent for even i and in the
-    # child for odd i, so the star (3) fails in the child and the path (4)
-    # in the parent
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    reps = {}
-    for n in range(1, 5):
-        for und in labeled_trees(n):
-            reps.setdefault(cli._tree_code(n, und), und)
-    tasks = list(reps.values())
-    index = 3 if slot == "child" else 4
-    assert _is_path(4, tasks[index]) == (slot == "parent")
-    target = bidirectional_tree_model(4, tasks[index], [1], [1]).edges
-    ranks = cli.generic_ranks
-
+def test_sweep_trees_internal_failure_exits_3(monkeypatch, capsys):
     def failing(cms, *args, **kwargs):
-        if cms[0].model.edges == target:
-            raise RuntimeError(f"injected failure in process {os.getpid()}")
-        return ranks(cms, *args, **kwargs)
+        raise RuntimeError("injected failure")
 
     monkeypatch.setattr(cli, "generic_ranks", failing)
-    code, _, err = run_cli(capsys, "sweep-trees", "--max-n", "4")
+    code, out, err = run_cli(capsys, "sweep-trees", "--max-n", "4")
     assert code == EXIT_INTERNAL
-    failed_in = int(re.search(r"injected failure in process (\d+)",
-                              err).group(1))
-    assert (failed_in == os.getpid()) == (slot == "parent")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert out == ""
+    assert err == "internal error: injected failure\n"
 
 
 def test_sweep_trees_evaluates_one_adjugate_per_tree_and_leak_set(
-        monkeypatch, capsys, tmp_path):
-    # 35 (class representative, leak set) groups for n <= 4: 2 + 4 + 7
-    # + 2 * 11, against 3,023 models; every tree map reaches min(p, m) at
-    # its first trial.  Calls made in forked sweep workers count too.
-    calls = count_calls_across_forks(monkeypatch, tmp_path / "calls",
-                                     identify, "_adjugate")
+        monkeypatch, capsys):
+    # 22 (class representative, leak set orbit) groups for n <= 4: 2 + 3
+    # + 5, then 5 for the star and 7 for the path, against 3,023 models;
+    # every tree map reaches min(p, m) at its first trial
+    calls = count_calls(monkeypatch, identify, "_adjugate")
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
-    assert len(calls()) == 35
+    assert len(calls) == 22
 
 
-def test_sweep_trees_lays_out_each_group_once(monkeypatch, capsys, tmp_path):
-    # per swept tree, the maps of every leak set are laid out from one
-    # search per input, whose first also checks strong connectivity with
-    # one search backwards; classifying adds one search for the tree test
-    # and one per input for the distances.  For n <= 4 one tree is swept
-    # per class: 1, 1, 1 and 2 classes.  Calls made in forked sweep
-    # workers count too.
+def test_sweep_trees_lays_out_each_group_once(monkeypatch, capsys):
+    # per swept tree, the maps of every ranked leak set are laid out from
+    # one search per input (for n <= 4 every compartment is the input of
+    # some ranked model), whose first also checks strong connectivity with
+    # one search backwards; the tree test adds one search, and the
+    # distances it compares are read back from the maps.  For n <= 4 one
+    # tree is swept per class: 1, 1, 1 and 2 classes
     classes = {1: 1, 2: 1, 3: 1, 4: 2}
-    searches = count_calls_across_forks(monkeypatch, tmp_path / "searches",
-                                        model, "distances")
-    every = count_calls_across_forks(monkeypatch, tmp_path / "every",
-                                     model, "_bfs")
+    searches = count_calls(monkeypatch, model, "distances")
+    every = count_calls(monkeypatch, model, "_bfs")
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
-    assert len(searches()) == sum((2 * n + 1) * c
-                                  for n, c in classes.items()) == 33
-    assert len(every()) == 33 + sum(classes.values()) == 38
+    assert len(searches) == sum((n + 1) * c for n, c in classes.items()) == 19
+    assert len(every) == 19 + sum(classes.values()) == 24
 
 
 @pytest.mark.parametrize("seed,digest", [
