@@ -3,8 +3,9 @@
 Subcommands: ``analyze`` (verdict + expected dimension), ``coeffs``
 (equation coefficients by either route), ``transform`` (model rewrites),
 ``sweep-trees`` (exhaustive tree validation, ranking one model per
-symmetry orbit) and ``selftest`` (randomized cross-checks of every
-symbolic identity).  Every command runs in one process.
+automorphism orbit of one tree per unlabeled class) and ``selftest``
+(randomized cross-checks of every symbolic identity).  Every command runs
+in one process.
 
 Exit codes: 0 success, 1 usage error, 2 invalid or out-of-scope model,
 3 internal error or failed self-check.  With the same seed and inputs the
@@ -29,7 +30,6 @@ from .identify import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     NoInputError,
-    NotATreeError,
     NotStronglyConnectedError,
     coefficient_map,
     coefficient_maps,
@@ -257,21 +257,53 @@ def _leak_sets(n: int, max_size: int):
         yield from itertools.combinations(range(1, n + 1), size)
 
 
-def _automorphisms(n: int, und) -> list[tuple[int, ...]]:
-    """The automorphism group of a labeled tree on 1..n, found by trying
-    all n! relabellings.  Each automorphism is a tuple g with g[v] the
-    image of compartment v (and g[0] = 0)."""
-    edges = {e for (a, b) in und for e in ((a, b), (b, a))}
-    relabellings = itertools.permutations(range(1, n + 1))
-    return [g for g in ((0, *p) for p in relabellings)
-            if all((g[a], g[b]) in edges for (a, b) in und)]
+def _symmetries(n: int, und) -> tuple[list[tuple[int, ...]], set]:
+    """The automorphism group and the labeled members of the class of a
+    labeled tree on 1..n, given as its sorted edge tuple, from one pass
+    over all n! relabellings.
+
+    Each relabelling g is a tuple with g[v] the image of compartment v
+    (and g[0] = 0); it maps the tree onto a labeled tree of its class,
+    kept as its sorted edge tuple, and it is an automorphism when that is
+    the tree itself.  So there are n! / |group| members.
+    """
+    group, members = [], set()
+    for p in itertools.permutations(range(1, n + 1)):
+        g = (0, *p)
+        image = tuple(sorted((min(g[a], g[b]), max(g[a], g[b]))
+                             for (a, b) in und))
+        members.add(image)
+        if image == und:
+            group.append(g)
+    return group, members
+
+
+def _tree_classes(max_n: int):
+    """One ``(tree, group, members)`` per unlabeled tree on n <= max_n
+    vertices, n ascending; the tree has n - 1 edges.
+
+    Every tree on n > 1 vertices has a leaf, so attaching vertex n to
+    each vertex of each tree on n - 1 vertices reaches every class.  A
+    grown tree already among the members of a kept class is skipped, so
+    :func:`_symmetries` scans each class once.
+    """
+    classes = []
+    for n in range(1, max_n + 1):
+        previous, classes = classes, []
+        grown = [()] if n == 1 else (tuple(sorted((*und, (v, n))))
+                                      for und, _group, _members in previous
+                                      for v in range(1, n))
+        for und in grown:
+            if not any(und in members for _und, _group, members in classes):
+                classes.append((und, *_symmetries(n, und)))
+        yield from classes
 
 
 def _sweep_tree(task, trials: int, seed: int):
     """One labeled tree of the sweep, end to end, one model per orbit.
 
     ``task`` is ``(n, und, group)``: the tree's edges and a group of its
-    automorphisms (:func:`_automorphisms`, or the identity alone).  An
+    automorphisms (from :func:`_symmetries`, or the identity alone).  An
     automorphism keeps the edges, so it keeps the rank, the input-output
     distance and the number of leaks, and every model of one orbit gets
     the same verdicts.  A leak set is ranked only when it is the least in
@@ -283,8 +315,8 @@ def _sweep_tree(task, trials: int, seed: int):
     :func:`coefficient_maps` lays out every map from one set of graph
     facts, and the placements of one leak set form a group that
     :func:`generic_ranks` ranks together, evaluating each trial's point
-    and adjugate once for all of them.  The tree test reads each distance
-    back from its map.  Returns ``(models, identifiable,
+    and adjugate once for all of them.  The tree theorem reads each
+    distance back from its map.  Returns ``(models, identifiable,
     disagreements)``, the disagreements by input, output and leak set.
     """
     n, und, group = task
@@ -312,8 +344,6 @@ def _sweep_tree(task, trials: int, seed: int):
         reports = generic_ranks(maps, trials=trials, seed=seed)
         for (inp, out, weight), cm, report in zip(places, maps, reports):
             ranked[inp, out, j] = (leaks, weight, cm, report.rank)
-    if not families.is_bidirectional_tree(cms[0].model):
-        raise NotATreeError(f"not a bidirectional tree: {sorted(und)}")
     count = identifiable = 0
     disagreements = []
     for (inp, out, _j), (leaks, weight, cm, rank) in sorted(ranked.items()):
@@ -332,78 +362,43 @@ def _sweep_tree(task, trials: int, seed: int):
     return count, identifiable, disagreements
 
 
-def _tree_code(n: int, und) -> str:
-    """The AHU code of the unlabeled tree of a labeled tree on 1..n.
-
-    Two labeled trees get the same code exactly when they are isomorphic.
-    Leaves are peeled layer by layer down to the one or two centers,
-    which every isomorphism maps onto each other; the code of the tree
-    rooted at a center nests, between parentheses, the sorted codes of
-    the subtrees below each vertex.  A tree with two centers takes the
-    smaller of its two codes.
-    """
-    adj = {v: [] for v in range(1, n + 1)}
-    for a, b in und:
-        adj[a].append(b)
-        adj[b].append(a)
-    degree = {v: len(near) for v, near in adj.items()}
-    layer = [v for v, d in degree.items() if d <= 1]
-    left = n
-    while left > 2:
-        left -= len(layer)
-        peeled = []
-        for v in layer:
-            for u in adj[v]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    peeled.append(u)
-        layer = peeled
-
-    def code(v, parent) -> str:
-        return "(" + "".join(sorted(code(u, v) for u in adj[v]
-                                    if u != parent)) + ")"
-    return min(code(center, None) for center in layer)
-
-
 def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
     """Exhaustive tree comparison: Jacobian rank versus the tree theorem.
 
     Covers every labeled tree on up to max_n vertices, every input and
     output placement and every leak set of size at most 2, and compares
     the rank verdict against the tree theorem (:func:`tree_identifiable`).
-    Both are invariant under relabelling compartments, so the labeled
-    trees are grouped into isomorphism classes (:func:`_tree_code`) and
-    :func:`_sweep_tree` runs on the first labeled member of each class,
-    one model per orbit of its automorphism group, its counts weighted by
-    the class size.  A class whose representative disagrees anywhere is
-    swept member by member with the identity group instead, so its counts
-    and disagreements come from every labeled model.  Everything runs in
-    this process.  Returns a summary dict with any disagreements (expected
-    none), listed by labeled tree, input, output and leak set.
+    Both are invariant under relabelling compartments, so
+    :func:`_sweep_tree` runs on one tree per unlabeled class
+    (:func:`_tree_classes`), one model per orbit of its automorphism
+    group, its counts weighted by the number of labeled members.  The
+    members of a class that disagrees anywhere are swept instead with the
+    identity group, in one pass over the labeled trees, so their counts
+    and disagreements come from every labeled model in labeled order.
+    Returns a summary dict with any disagreements (expected none), listed
+    by labeled tree, input, output and leak set.
     """
-    tasks = [(n, und) for n in range(1, max_n + 1)
-             for und in families.labeled_trees(n)]
-    classes: dict[str, list[int]] = {}
-    for i, (n, und) in enumerate(tasks):
-        classes.setdefault(_tree_code(n, und), []).append(i)
-    weighted = {}           # task index -> (weight, result)
-    for members in classes.values():
-        n, und = tasks[members[0]]
-        result = _sweep_tree((n, und, _automorphisms(n, und)), trials, seed)
-        if not result[2]:
-            weighted[members[0]] = (len(members), result)
-            continue
-        identity = [tuple(range(n + 1))]
-        for i in members:
-            weighted[i] = (1, _sweep_tree((*tasks[i], identity), trials, seed))
     per_n = {str(n): 0 for n in range(1, max_n + 1)}
-    disagreements = []
     identifiable = 0
-    for i in sorted(weighted):
-        weight, (count, found, disagree) = weighted[i]
-        per_n[str(tasks[i][0])] += weight * count
-        identifiable += weight * found
-        disagreements += disagree
+    expand = set()          # the labeled members of every disagreeing class
+    for und, group, members in _tree_classes(max_n):
+        n = len(und) + 1
+        count, found, disagree = _sweep_tree((n, und, group), trials, seed)
+        if disagree:
+            expand |= members
+            continue
+        per_n[str(n)] += len(members) * count
+        identifiable += len(members) * found
+    disagreements = []
+    for n in sorted({len(und) + 1 for und in expand}):
+        identity = [tuple(range(n + 1))]
+        for und in families.labeled_trees(n):
+            if tuple(sorted(und)) in expand:
+                count, found, disagree = _sweep_tree((n, und, identity),
+                                                     trials, seed)
+                per_n[str(n)] += count
+                identifiable += found
+                disagreements += disagree
     total = sum(per_n.values())
     return {"max_n": max_n, "trials": trials, "seed": seed, "models": total,
             "identifiable": identifiable,

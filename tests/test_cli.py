@@ -13,7 +13,8 @@ import sys
 
 import pytest
 
-from compident import cli, determinant, forests, identify, model, poly
+from compident import cli, determinant, families, forests, identify, model, \
+    poly
 from compident.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID_MODEL,
@@ -559,9 +560,10 @@ def test_sweep_trees_small(capsys):
 
 def test_sweep_trees_disagreement_order(monkeypatch):
     # every verdict inverted: all models disagree, listed in the order of
-    # the plain tree -> input -> output -> leak set loop
+    # the plain tree -> input -> output -> leak set loop.  At n = 4 the
+    # labeled order interleaves the star and path classes
     expected = []
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for und in labeled_trees(n):
             for inp in range(1, n + 1):
                 for out in range(1, n + 1):
@@ -578,9 +580,10 @@ def test_sweep_trees_disagreement_order(monkeypatch):
     def inverted(dist, leaks):
         return not identify.tree_identifiable(dist, leaks)
 
-    plain = run_tree_sweep(3, 3, 5)
+    plain = run_tree_sweep(4, 3, 5)
     monkeypatch.setattr(cli, "tree_identifiable", inverted)
-    swept = run_tree_sweep(3, 3, 5)
+    swept = run_tree_sweep(4, 3, 5)
+    assert len(expected) == 3023
     assert swept["disagreements"] == expected
     assert {k: v for k, v in swept.items() if k != "disagreements"} == \
         {k: v for k, v in plain.items() if k != "disagreements"}
@@ -616,41 +619,33 @@ def _labeled_sweep(max_n, trials, seed):
             "per_n": per_n, "disagreements": disagreements}
 
 
-def test_tree_code_classes_are_the_unlabeled_trees():
-    # the number of unlabeled trees on n vertices, and the n^(n-2) labeled
-    # trees split among them; paths form one class of n!/2 members
-    for n, unlabeled in enumerate([1, 1, 1, 2, 3, 6, 11], start=1):
-        classes = collections.defaultdict(list)
-        for und in labeled_trees(n):
-            classes[cli._tree_code(n, und)].append(und)
-        assert len(classes) == unlabeled
-        assert sum(map(len, classes.values())) == max(1, n ** (n - 2))
-        paths = [c for c in classes.values() if _is_path(n, c[0])]
-        assert len(paths) == 1
-        assert all(_is_path(n, und) for und in paths[0])
-        assert len(paths[0]) == max(1, math.factorial(n) // 2)
+def test_tree_classes_are_the_unlabeled_trees():
+    # the number of unlabeled trees on n vertices, and the members of the
+    # classes split the n^(n-2) labeled trees of the Pruefer enumeration;
+    # the paths form one class
+    by_n = collections.defaultdict(list)
+    for und, group, members in cli._tree_classes(7):
+        by_n[len(und) + 1].append((und, group, members))
+    assert [len(by_n[n]) for n in range(1, 8)] == [1, 1, 1, 2, 3, 6, 11]
+    for n, classes in by_n.items():
+        labeled = {tuple(sorted(und)) for und in labeled_trees(n)}
+        assert len(labeled) == max(1, n ** (n - 2))
+        assert sum(len(members) for _u, _g, members in classes) == len(labeled)
+        assert set().union(*(members for _u, _g, members in classes)) == labeled
+        assert all(und in members for und, _group, members in classes)
+        assert sum(_is_path(n, und) for und, _g, _m in classes) == 1
 
 
-def _tree_classes(max_n):
-    """Every isomorphism class of trees with n <= max_n, as (n, its
-    labeled members), the first member being the class representative."""
-    classes = {}
-    for n in range(1, max_n + 1):
-        for und in labeled_trees(n):
-            classes.setdefault((n, cli._tree_code(n, und)), []).append(und)
-    return [(n, members) for (n, _code), members in classes.items()]
-
-
-def test_automorphisms_fill_out_the_class():
+def test_tree_class_groups_fill_out_the_class():
     # orbit-stabilizer on the n! relabellings of a tree: its class holds
     # n! / |Aut(T)| labeled trees.  The path has 2 automorphisms (n >= 2)
     # and the star (n >= 3) has (n - 1)!
-    for n, members in _tree_classes(7):
-        group = cli._automorphisms(n, members[0])
+    for und, group, members in cli._tree_classes(7):
+        n = len(und) + 1
         assert len(group) * len(members) == math.factorial(n)
         assert (0, *range(1, n + 1)) in group
-        degrees = collections.Counter(v for edge in members[0] for v in edge)
-        if n >= 2 and _is_path(n, members[0]):
+        degrees = collections.Counter(v for edge in und for v in edge)
+        if n >= 2 and _is_path(n, und):
             assert len(group) == 2
         if n >= 3 and max(degrees.values()) == n - 1:
             assert len(group) == math.factorial(n - 1)
@@ -661,8 +656,8 @@ def test_sweep_tree_orbit_weights_match_the_identity_group(seed):
     # one model per automorphism orbit, weighted by the orbit size, counts
     # what ranking every model of the tree counts, on every class
     # representative with n <= 5
-    for n, (und, *_others) in _tree_classes(5):
-        group = cli._automorphisms(n, und)
+    for und, group, _members in cli._tree_classes(5):
+        n = len(und) + 1
         assert cli._sweep_tree((n, und, group), 3, seed) == \
             cli._sweep_tree((n, und, _identity(n)), 3, seed)
 
@@ -706,6 +701,16 @@ def test_sweep_trees_class_sweep_equals_labeled_sweep(seed):
     assert summary["models"] == 3023
 
 
+def test_sweep_trees_enumerates_no_labeled_tree_without_disagreement(
+        monkeypatch, capsys):
+    # the classes are grown directly; the Pruefer enumeration runs only
+    # to expand a class that disagrees
+    calls = count_calls(monkeypatch, families, "labeled_trees")
+    code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
+    assert code == EXIT_OK and json.loads(out)["models"] == 3023
+    assert calls == []
+
+
 def test_sweep_trees_internal_failure_exits_3(monkeypatch, capsys):
     def failing(cms, *args, **kwargs):
         raise RuntimeError("injected failure")
@@ -732,16 +737,16 @@ def test_sweep_trees_lays_out_each_group_once(monkeypatch, capsys):
     # per swept tree, the maps of every ranked leak set are laid out from
     # one search per input (for n <= 4 every compartment is the input of
     # some ranked model), whose first also checks strong connectivity with
-    # one search backwards; the tree test adds one search, and the
-    # distances it compares are read back from the maps.  For n <= 4 one
-    # tree is swept per class: 1, 1, 1 and 2 classes
+    # one search backwards; the distances the tree theorem compares are
+    # read back from the maps.  For n <= 4 one tree is swept per class:
+    # 1, 1, 1 and 2 classes
     classes = {1: 1, 2: 1, 3: 1, 4: 2}
     searches = count_calls(monkeypatch, model, "distances")
     every = count_calls(monkeypatch, model, "_bfs")
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
-    assert len(searches) == sum((n + 1) * c for n, c in classes.items()) == 19
-    assert len(every) == 19 + sum(classes.values()) == 24
+    assert len(searches) == sum(n * c for n, c in classes.items()) == 14
+    assert len(every) == 14 + sum(classes.values()) == 19
 
 
 @pytest.mark.parametrize("seed,digest", [
