@@ -148,6 +148,14 @@ def _disagreeing_outputs(m: Model, a: Sides, b: Sides) -> list[int]:
 
 def cmd_coeffs(args) -> int:
     m = load_model(args.model)
+    # Both routes recurse once per compartment (forest choices, Laplace
+    # columns); half the recursion limit leaves the rest to the callers.
+    bound = sys.getrecursionlimit() // 2
+    if m.n > bound:
+        print(f"model out of scope: coeffs takes at most {bound} "
+              f"compartments (half the recursion limit), got {m.n}",
+              file=sys.stderr)
+        return EXIT_INVALID_MODEL
     if not m.inputs:
         raise NoInputError("model has no inputs")
     codec = _Codec(param_vector(m))
@@ -299,11 +307,11 @@ def _tree_classes(max_n: int):
         yield from classes
 
 
-def _sweep_tree(task, trials: int, seed: int):
+def _sweep_tree(und, group, trials: int, seed: int):
     """One labeled tree of the sweep, end to end, one model per orbit.
 
-    ``task`` is ``(n, und, group)``: the tree's edges and a group of its
-    automorphisms (from :func:`_symmetries`, or the identity alone).  An
+    ``und`` holds the tree's edges on 1..len(und) + 1 and ``group`` a
+    group of its automorphisms (:func:`_symmetries`, or the identity).  An
     automorphism keeps the edges, so it keeps the rank, the input-output
     distance and the number of leaks, and every model of one orbit gets
     the same verdicts.  A leak set is ranked only when it is the least in
@@ -319,7 +327,7 @@ def _sweep_tree(task, trials: int, seed: int):
     distance back from its map.  Returns ``(models, identifiable,
     disagreements)``, the disagreements by input, output and leak set.
     """
-    n, und, group = task
+    n = len(und) + 1
     picked = []             # (leak set, [(inp, out, weight)]), in sweep order
     for leaks in _leak_sets(n, 2):
         images = [tuple(sorted(g[v] for v in leaks)) for g in group]
@@ -383,7 +391,7 @@ def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
     expand = set()          # the labeled members of every disagreeing class
     for und, group, members in _tree_classes(max_n):
         n = len(und) + 1
-        count, found, disagree = _sweep_tree((n, und, group), trials, seed)
+        count, found, disagree = _sweep_tree(und, group, trials, seed)
         if disagree:
             expand |= members
             continue
@@ -394,8 +402,8 @@ def run_tree_sweep(max_n: int, trials: int, seed: int) -> dict:
         identity = [tuple(range(n + 1))]
         for und in families.labeled_trees(n):
             if tuple(sorted(und)) in expand:
-                count, found, disagree = _sweep_tree((n, und, identity),
-                                                     trials, seed)
+                count, found, disagree = _sweep_tree(und, identity, trials,
+                                                     seed)
                 per_n[str(n)] += count
                 identifiable += found
                 disagreements += disagree

@@ -17,10 +17,12 @@ are sums of forest productivities (products of edge labels):
   all-positive coefficients.
 
 Enumeration is a plain recursion over the nodes with out-edges, in
-increasing order: each keeps no outgoing edge or picks one of them, and a
-list-based union-find with undo rejects an undirected cycle as it would
-form.  Edge labels are distinct, so the recursion carries a forest as a
-packed monomial (see :mod:`compident.poly`) with one bit per edge: the
+increasing order: each keeps no outgoing edge or picks one of them.  As
+no node has two out-edges, an undirected cycle among the chosen edges is
+a directed one, so one successor per node is all the state: an edge
+``src -> dst`` is refused when the chosen edges lead from ``dst`` back to
+``src``.  Edge labels are distinct, so the recursion carries a forest as
+a packed monomial (see :mod:`compident.poly`) with one bit per edge: the
 sum of the chosen edges' codes.  A finished forest drops its code into
 the ``{code: 1}`` bucket of its size (its bit count).  All sizes come
 from a single pass, so one traversal yields every coefficient of an
@@ -69,56 +71,50 @@ def forest_buckets(g: AuxGraph, codec: _Codec,
     steps: dict[int, list[tuple[int, int]]] = {}
     for (src, dst, lab) in g.edges:
         steps.setdefault(index[src], []).append((index[dst], codec.var(lab)))
-    codes: list[int] = []
-    _grow(sorted(steps.items()), 0, 0, list(range(len(nodes))),
-          [1] * len(nodes),
-          None if pair is None else (index[pair[0]], index[pair[1]]), codes)
     buckets: list[dict[int, int]] = [{} for _ in range(len(nodes) + 1)]
-    for code in codes:
-        buckets[code.bit_count()][code] = 1
+    _grow(sorted(steps.items()), 0, 0, list(range(len(nodes))),
+          None if pair is None else (index[pair[0]], index[pair[1]]), buckets)
     return buckets
 
 
 def _grow(steps: list[tuple[int, list[tuple[int, int]]]], pos: int,
-          code: int, parent: list[int], size: list[int],
-          pair: Optional[Tuple[int, int]], codes: list[int]) -> None:
+          code: int, succ: list[int], pair: Optional[Tuple[int, int]],
+          buckets: list[dict[int, int]]) -> None:
     """Extend a partial forest by the choice of node ``steps[pos][0]``.
 
     ``steps`` lists, for each node with out-edges in increasing order,
     its edges as (target, code); the node keeps no outgoing edge or one
     of them.  ``code`` is the sum of the chosen edges' codes, and
-    ``parent``/``size`` are a union-find (union by size, no path
-    compression) over the chosen edges that rejects an undirected cycle
-    as it would form; each union is undone after its subtree.  A
-    complete forest whose pair, if any, lies in one component appends
-    its code to ``codes``.
+    ``succ[v]`` the target of v's chosen edge, or v if it keeps none.
+    With one out-edge per node, a cycle closed by ``src -> dst`` is
+    directed: the chosen edges lead from ``dst`` back to ``src``.  Only
+    the nodes below ``src`` have chosen, so the others are sinks: the
+    walk along ``succ`` from ``dst`` stops at the first sink or node not
+    below ``src``, and the edge is refused when that node is ``src``.
+    A complete forest whose pair, if any, ends at one sink drops its code
+    into the bucket of its size.
     """
     if pos == len(steps):
         if pair is not None:
             a, b = pair
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
+            while succ[a] != a:
+                a = succ[a]
+            while succ[b] != b:
+                b = succ[b]
             if a != b:
                 return
-        codes.append(code)
+        buckets[code.bit_count()][code] = 1
         return
-    _grow(steps, pos + 1, code, parent, size, pair, codes)
     src, edges = steps[pos]
-    while parent[src] != src:
-        src = parent[src]
+    succ[src] = src
+    _grow(steps, pos + 1, code, succ, pair, buckets)
     for dst, bit in edges:
-        while parent[dst] != dst:
-            dst = parent[dst]
-        if dst == src:
-            continue
-        child, root = (src, dst) if size[src] <= size[dst] else (dst, src)
-        parent[child] = root
-        size[root] += size[child]
-        _grow(steps, pos + 1, code + bit, parent, size, pair, codes)
-        size[root] -= size[child]
-        parent[child] = child
+        end = dst
+        while end < src and succ[end] != end:
+            end = succ[end]
+        if end != src:
+            succ[src] = dst
+            _grow(steps, pos + 1, code + bit, succ, pair, buckets)
 
 
 def lhs_coefficients(m: Model) -> list[Poly]:

@@ -72,7 +72,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 from operator import mul
 from typing import Optional, Sequence, Tuple
 
@@ -515,38 +514,35 @@ def _kernel(rows: Sequence[int],
     """The rank of packed rows over the prime field and a basis of their
     kernel, with one slot per column (:func:`_echelon`).
 
-    The echelon basis is reduced upwards, again by scaling, until every
-    row is zero at the other rows' pivots.  With pivot values g_i and
-    their product g, the vector for a free column f has g at f,
-    ``-row_i[f] * g / g_i`` at each row's pivot and 0 elsewhere.  Returns
+    Each echelon row is scaled to pivot 1, one inverse per pivot, and the
+    rows are reduced upwards, ``r + (p - f) b``, until every row is zero
+    at the other rows' pivots.  The vector for a free column f then has 1
+    at f, ``p - row_i[f]`` at each row's pivot and 0 elsewhere.  Returns
     the rank and one such vector per free column, in ascending order,
     each as a dict from column to its nonzero entry: a vector has at most
     rank + 1 of them, however wide the rows.
     """
     p, s, mask, reduce = lanes.p, lanes.s, lanes.mask, lanes.reduce
-    basis = _echelon(rows, lanes)
+    basis = [(c, reduce(pow(pv, -1, p) * b))
+             for c, pv, b in _echelon(rows, lanes)]
     for k in range(len(basis) - 1, 0, -1):
-        c, pv, b = basis[k]
+        c, b = basis[k]
         for i in range(k):
-            ci, gi, bi = basis[i]
+            ci, bi = basis[i]
             f = bi >> s * c & mask
             if f:
-                basis[i] = (ci, pv * gi % p, reduce(pv * bi + (p - f) * b))
-    pivots = [pv for _c, pv, _b in basis]
-    g = prod(pivots) % p
-    others = [prod(pivots[:i] + pivots[i + 1:]) % p
-              for i in range(len(pivots))]
-    pivot_cols = {c for c, _pv, _b in basis}
+                basis[i] = (ci, reduce(bi + (p - f) * b))
+    pivot_cols = {c for c, _b in basis}
     kernel = []
     for f in range(lanes.width):
         if f not in pivot_cols:
             shift = s * f
             vec = {}
-            for (c, _pv, b), other in zip(basis, others):
+            for c, b in basis:
                 x = b >> shift & mask
                 if x:
-                    vec[c] = -x * other % p
-            vec[f] = g
+                    vec[c] = p - x
+            vec[f] = 1
             kernel.append(vec)
     return len(basis), kernel
 

@@ -183,6 +183,11 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+def _edgeless(n):
+    return (f'{{"compartments": {n}, "edges": [], "in": [1], "out": [1], '
+            f'"leak": []}}')
+
+
 _USER_FILES = {
     "bad.json": '{"compartments": 2, "edges": [], "in": [], "out": []}',
     "notjson.json": '{"compartments": ',
@@ -192,6 +197,9 @@ _USER_FILES = {
     "noin.json": '{"compartments": 2, "edges": [{"from": 1, "to": 2}, '
                  '{"from": 2, "to": 1}], "in": [], "out": [1], "leak": []}',
     "deep.json": "[" * 200_000,
+    "n990.json": _edgeless(990),
+    "n1200.json": _edgeless(1200),
+    "n1e20.json": _edgeless(10 ** 20),
 }
 
 
@@ -253,6 +261,12 @@ _USER_FILES = {
     (["transform", "--op", "add-leak", "--at", "1", "{tmp}/deep.json"],
      EXIT_INVALID_MODEL,
      "invalid model: nested too deeply: maximum recursion depth exceeded.*"),
+    # more compartments than the coefficient routes can recurse through
+    *[(["coeffs", "--json", f"{{tmp}}/{name}.json"], EXIT_INVALID_MODEL,
+       r"model out of scope: coeffs takes at most \d+ compartments "
+       rf"\(half the recursion limit\), got {n}")
+      for name, n in (("n990", 990), ("n1200", 1200),
+                      ("n1e20", 10 ** 20))],
 ])
 def test_user_errors_exit_with_a_reason(capsys, tmp_path, fixtures_dir, argv,
                                         code, last):
@@ -314,6 +328,18 @@ def test_coeffs_single_compartment(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "coeffs", str(path))
     assert code == EXIT_OK
     assert "y' = u" in out
+
+
+def test_coeffs_answers_an_edgeless_model_within_the_bound(capsys, tmp_path):
+    # 500 compartments: each route recurses once per compartment, inside
+    # half the default recursion limit
+    path = tmp_path / "n500.json"
+    path.write_text(_edgeless(500))
+    code, out, _ = run_cli(capsys, "coeffs", "--json", str(path))
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["compartments"] == 500
+    assert doc["outputs"][0]["lhs"] == ["0"] * 500 + ["1"]
 
 
 def test_coeffs_two_compartment_cross(capsys, fixtures_dir):
@@ -607,7 +633,7 @@ def _labeled_sweep(max_n, trials, seed):
     identifiable, disagreements = 0, []
     for n in range(1, max_n + 1):
         for und in labeled_trees(n):
-            count, found, disagree = cli._sweep_tree((n, und, _identity(n)),
+            count, found, disagree = cli._sweep_tree(und, _identity(n),
                                                      trials, seed)
             per_n[str(n)] += count
             identifiable += found
@@ -658,8 +684,8 @@ def test_sweep_tree_orbit_weights_match_the_identity_group(seed):
     # representative with n <= 5
     for und, group, _members in cli._tree_classes(5):
         n = len(und) + 1
-        assert cli._sweep_tree((n, und, group), 3, seed) == \
-            cli._sweep_tree((n, und, _identity(n)), 3, seed)
+        assert cli._sweep_tree(und, group, 3, seed) == \
+            cli._sweep_tree(und, _identity(n), 3, seed)
 
 
 def test_sweep_trees_expands_a_disagreeing_class(monkeypatch):
@@ -670,13 +696,13 @@ def test_sweep_trees_expands_a_disagreeing_class(monkeypatch):
     # stay those of the plain sweep
     sweep = cli._sweep_tree
 
-    def inverted_on_paths(task, trials, seed):
-        n, und, _group = task
+    def inverted_on_paths(und, group, trials, seed):
+        n = len(und) + 1
         with monkeypatch.context() as patch:
             if n == 4 and _is_path(n, und):
                 patch.setattr(cli, "tree_identifiable", lambda dist, leaks:
                               not identify.tree_identifiable(dist, leaks))
-            return sweep(task, trials, seed)
+            return sweep(und, group, trials, seed)
 
     plain = run_tree_sweep(4, 3, 5)
     assert plain["disagreements"] == []
@@ -855,12 +881,14 @@ def test_main_parses_every_call_afresh_on_one_parser(monkeypatch, capsys,
 def test_fixture_files_match_builtin_corpus(fixtures_dir):
     from compident.families import reference_models, reference_verdicts
     from compident.model import load_model, serialize_model
-    manifest = json.load(open(os.path.join(fixtures_dir, "manifest.json")))
+    with open(os.path.join(fixtures_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
     ref = reference_models()
     assert set(manifest) == set(ref)
     for name, meta in manifest.items():
         path = os.path.join(fixtures_dir, meta["file"])
         assert load_model(path) == ref[name]
-        assert open(path).read().strip() == serialize_model(ref[name])
+        with open(path) as fh:
+            assert fh.read().strip() == serialize_model(ref[name])
     assert {name: meta["expected_verdict"] for name, meta in manifest.items()} \
         == reference_verdicts()

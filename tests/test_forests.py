@@ -143,6 +143,38 @@ def test_forest_sums_match_listing_on_every_small_digraph():
     assert hosts == 2 * 3 + 16 * 5 + 448 * 7
 
 
+def _has_long_cycle(g: AuxGraph) -> bool:
+    """Whether g has a directed cycle through at least 4 nodes."""
+    arcs = {(src, dst) for src, dst, _lab in g.edges}
+    return any(all((cyc[i - 1], cyc[i]) in arcs for i in range(k))
+               for k in range(4, len(g.nodes) + 1)
+               for cyc in itertools.permutations(g.nodes, k))
+
+
+def test_forest_sums_match_listing_on_random_multigraphs():
+    # 6 or 7 nodes, dense enough for directed cycles of length >= 4, with
+    # parallel edges into node 0 as a flipped leak makes them: beyond the
+    # exhaustive n <= 3 corpus above
+    rng = random.Random(42)
+    long_cycles = parallel = 0
+    for _ in range(4):
+        k = rng.randrange(5, 7)
+        edges = []
+        for src in range(1, k + 1):
+            for dst in range(k + 1):
+                if src != dst and rng.random() < 0.45:
+                    edges.append((src, dst, (len(edges), src)))
+            if rng.random() < 0.5:
+                edges.append((src, 0, (len(edges), src)))
+        g = AuxGraph(tuple(range(k + 1)), tuple(edges), allows_multi_edges=True)
+        long_cycles += _has_long_cycle(g)
+        parallel += len(edges) > len({(s, d) for s, d, _lab in edges})
+        assert forest_sums_by_size(g) == _listed_sums(g)
+        for pair in ((0, k), (1, k), (2, 2)):
+            assert forest_sums_by_size(g, pair) == _listed_sums(g, pair)
+    assert long_cycles and parallel
+
+
 def test_pair_forests_contain_directed_path():
     rng = random.Random(34)
     for _ in range(10):

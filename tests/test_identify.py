@@ -485,11 +485,17 @@ def test_echelon_rank_equals_gaussian_elimination():
         rank = rank_mod(rows, p)
         lanes = _Lanes(p, 2 * p.bit_length() + 1, cols)
         packed = [_pack(row, lanes.s) for row in rows]
-        assert len(_echelon(packed, lanes)) == rank
+        basis = _echelon(packed, lanes)
+        assert len(basis) == rank
         # the kernel basis: cols - rank independent vectors, each
-        # orthogonal to every row
+        # orthogonal to every row, in normal form: the vector of the free
+        # column f is 1 at f and 0 at every other free column
         got, kernel = _kernel(packed, lanes)
         assert got == rank and len(kernel) == cols - rank
+        pivots = {c for c, _pv, _b in basis}
+        free = [f for f in range(cols) if f not in pivots]
+        assert [vec.get(f) for vec, f in zip(kernel, free)] == [1] * len(free)
+        assert all(set(vec) <= pivots | {f} for vec, f in zip(kernel, free))
         vectors = [[vec.get(c, 0) for c in range(cols)] for vec in kernel]
         assert all(sum(a * b for a, b in zip(row, vec)) % p == 0
                    for row in rows for vec in vectors)
