@@ -7,9 +7,9 @@ automorphism orbit of one tree per unlabeled class) and ``selftest``
 (randomized cross-checks of every symbolic identity).  Every command runs
 in one process.
 
-Exit codes: 0 success, 1 usage error, 2 invalid or out-of-scope model,
-3 internal error or failed self-check.  With the same seed and inputs the
-JSON output is byte-identical between runs.
+Exit codes: 0 success, 1 usage error, 2 invalid or out-of-scope model or
+unwritable output, 3 internal error or failed self-check.  With the same
+seed and inputs the JSON output is byte-identical between runs.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from typing import Mapping, Sequence
 
@@ -71,12 +72,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _OutputError(Exception):
+    """Standard output refused a write, e.g. a pipe closed by its reader."""
+
+
 def _emit(obj, as_json: bool, text_lines):
-    if as_json:
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    """Write ``obj`` to stdout as JSON, streamed so that no second copy of
+    the output is built, or else the ``text_lines``, which are read only
+    then; a write error raises :class:`_OutputError`."""
+    if sys.stdout is None:      # started without fd 1: print() writes nowhere
+        return
+    try:
+        if as_json:
+            json.dump(obj, sys.stdout, sort_keys=True, indent=2)
+            sys.stdout.write("\n")
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputError(exc) from exc
 
 
 # ---------------------------------------------------------------------
@@ -159,9 +174,11 @@ def cmd_coeffs(args) -> int:
     if not m.inputs:
         raise NoInputError("model has no inputs")
     codec = _Codec(param_vector(m))
-    sides = _sides(m, codec, "det" if args.method == "det" else "forest")
+    # The determinant route runs first, so the Laplace memo of
+    # det(lambda*I - A) is gone before any forest sum exists.
+    sides = _sides(m, codec, "forest" if args.method == "forest" else "det")
     if args.method == "both":
-        bad = _disagreeing_outputs(m, sides, _sides(m, codec, "det"))
+        bad = _disagreeing_outputs(m, sides, _sides(m, codec, "forest"))
         if bad:
             print("internal error: forest and determinant coefficients "
                   f"disagree for output {bad[0]}", file=sys.stderr)
@@ -169,27 +186,30 @@ def cmd_coeffs(args) -> int:
     n, text = m.n, codec.text
     lhs = [text(c) for c in sides[0]]
     rhs = {pair: [text(d) for d in ds] for pair, ds in sides[1].items()}
+    del sides               # not held while the output is built
     outputs = []
-    lines = [f"model: {n} compartments, {m.param_count()} parameters"]
     for out in sorted(m.outputs):
         ins = {j: rhs[out, j] for j in sorted(m.inputs)}
-        equation = render_equation(out, lhs, ins, n)
-        lines.append(f"output {out}")
-        lines.append(f"  {equation}")
-        for k in range(n, -1, -1):
-            lines.append(f"  c{k} = {lhs[k]}")
-        entry = {"output": out, "equation": equation, "lhs": lhs,
-                 "inputs": []}
-        for j, ds in ins.items():
-            sign = -1 if (out + j) % 2 else 1
-            lines.append(f"  input {j}: sign {'+1' if sign > 0 else '-1'}")
-            for k in range(n - 1, -1, -1):
-                lines.append(f"  d{k} = {ds[k]}")
-            entry["inputs"].append({"input": j, "sign": sign, "d": ds})
-        outputs.append(entry)
+        outputs.append({
+            "output": out, "lhs": lhs,
+            "equation": render_equation(out, lhs, ins, n),
+            "inputs": [{"input": j, "sign": (-1) ** (out + j), "d": ds}
+                       for j, ds in ins.items()]})
+
+    def lines():
+        yield f"model: {n} compartments, {m.param_count()} parameters"
+        for entry in outputs:
+            yield f"output {entry['output']}"
+            yield f"  {entry['equation']}"
+            for k in range(n, -1, -1):
+                yield f"  c{k} = {lhs[k]}"
+            for e in entry["inputs"]:
+                yield f"  input {e['input']}: sign {e['sign']:+d}"
+                for k in range(n - 1, -1, -1):
+                    yield f"  d{k} = {e['d'][k]}"
     _emit({"method": args.method, "compartments": n,
            "params": m.param_count(), "outputs": outputs},
-          args.json, lines)
+          args.json, lines())
     return EXIT_OK
 
 
@@ -632,6 +652,12 @@ def main(argv=None) -> int:
         return EXIT_INVALID_MODEL
     except (NotStronglyConnectedError, NoInputError) as exc:
         print(f"model out of scope: {exc}", file=sys.stderr)
+        return EXIT_INVALID_MODEL
+    except _OutputError as exc:
+        # what is still buffered goes nowhere, not to a closed pipe at exit
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     except OSError as exc:
         print(f"cannot read model: {exc}", file=sys.stderr)

@@ -1,7 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import collections
+import contextlib
+import errno
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -10,6 +13,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -434,6 +438,8 @@ def several_io(tmp_path):
 @pytest.mark.parametrize("argv,digest", [
     (("--method", "both", "--json"),
      "26bafe280956de14b1bd550c273d574d110d146a0382d9d72eba4be621c7edca"),
+    (("--method", "both"),
+     "91733b806e822c16c5df79313ea3358f2ff6777f7dc2b15e0bd32498cbf67ebb"),
     (("--method", "det"),
      "91733b806e822c16c5df79313ea3358f2ff6777f7dc2b15e0bd32498cbf67ebb"),
     (("--method", "forest"),
@@ -443,6 +449,66 @@ def test_coeffs_several_outputs_are_pinned(capsys, several_io, argv, digest):
     code, out, _ = run_cli(capsys, "coeffs", several_io, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.fixture
+def dense_seven(tmp_path):
+    # 32 parameters; coeffs --json prints 4,165,403 bytes, more than a
+    # pipe buffer holds
+    m = families.random_strongly_connected_model(random.Random(23), 7,
+                                                 extra=0.5)
+    path = tmp_path / "dense_seven.json"
+    path.write_text(json.dumps(model.model_to_dict(m)))
+    return str(path)
+
+
+def test_coeffs_holds_little_besides_its_output(dense_seven):
+    # the packed sides of both routes, the Laplace memo and a second copy
+    # of the JSON are never all alive at once
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["coeffs", dense_seven, "--method", "both", "--json"])
+        size = len(out.getvalue())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert size == 4_165_403
+    assert peak < 5 * size
+
+
+def _src_env():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "src"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_coeffs_reports_a_closed_stdout_as_a_write_error(dense_seven):
+    with subprocess.Popen([sys.executable, "-m", "compident", "coeffs",
+                           dense_seven, "--json"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=_src_env()) as proc:
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert head == b'{\n  "compartments": '
+    assert err == ("cannot write output: "
+                   f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+    assert proc.returncode == EXIT_INVALID_MODEL
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_a_missing_stdout_takes_the_output_nowhere(fixtures_dir, json_flag):
+    # started with fd 1 closed, Python sets sys.stdout to None
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "compident",
+         "analyze", fixture(fixtures_dir, "k3_leak"), *json_flag],
+        stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
 def test_coeffs_computes_the_left_side_once(monkeypatch, capsys, several_io):
@@ -835,14 +901,9 @@ def test_selftest_json_deterministic(capsys):
 def test_python_m_runs_the_cli(capsys, fixtures_dir):
     path = fixture(fixtures_dir, "k3_leak")
     code, out, _ = run_cli(capsys, "analyze", path, "--json")
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
-                                       "src"))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "compident", "analyze", path,
-                           "--json"], capture_output=True, text=True, env=env,
-                          timeout=120)
+                           "--json"], capture_output=True, text=True,
+                          env=_src_env(), timeout=120)
     assert proc.returncode == code == EXIT_OK
     assert proc.stdout == out
 
