@@ -30,6 +30,7 @@ from .graphs import flip_into_leak, strip_outgoing
 from .identify import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    METHOD_RANK,
     NoInputError,
     NotStronglyConnectedError,
     coefficient_map,
@@ -343,9 +344,10 @@ def _sweep_tree(und, group, trials: int, seed: int):
     :func:`coefficient_maps` lays out every map from one set of graph
     facts, and the placements of one leak set form a group that
     :func:`generic_ranks` ranks together, evaluating each trial's point
-    and adjugate once for all of them.  The tree theorem reads each
-    distance back from its map.  Returns ``(models, identifiable,
-    disagreements)``, the disagreements by input, output and leak set.
+    and the powers of A at it once for all of them.  The tree theorem
+    reads each distance back from its map.  Returns ``(models,
+    identifiable, disagreements)``, the disagreements by input, output
+    and leak set.
     """
     n = len(und) + 1
     picked = []             # (leak set, [(inp, out, weight)]), in sweep order
@@ -512,8 +514,9 @@ def run_selftest(seed: int, trials: int) -> dict:
     for name in sorted(ref):
         m = ref[name]
         verdict = decide_identifiability(m, trials=trials, seed=seed)
-        rank_verdict = decide_identifiability(m, trials=trials, seed=seed,
-                                              force_rank=True)
+        rank_verdict = (verdict if verdict.method == METHOD_RANK else
+                        decide_identifiability(m, trials=trials, seed=seed,
+                                               force_rank=True))
         fixtures[name] = {
             "verdict": verdict.status,
             "method": verdict.method,

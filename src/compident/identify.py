@@ -6,34 +6,40 @@ identifiable exactly when the Jacobian of that map has full column rank
 at a generic parameter point, and it has expected dimension when the rank
 reaches min(parameter count, coefficient count).
 
-Every coefficient is a coefficient of ``det(lambda*I - A)`` or of an
-entry of ``adj(lambda*I - A)``, so the Jacobian is evaluated at a point
-straight from the matrix, with no polynomial ever expanded.  At the point
-the adjugate and the characteristic polynomial c come from
-Faddeev-LeVerrier (n - 1 sparse matrix products mod p).  Each parameter
-sits in one column of A, so the partials of c (the left-side rows L) are
-differences of adjugate entries, and those of an adjugate entry follow
-from the Jacobi identity as the quotient by c of ``u d - w v``, where u
-is the parameter's partial of c and d the entry.  The rows of the
-quotient of ``u d`` lie in the span of L, and modulo that span the rows
-of a right-side block span what the same top coefficients of ``w v``
-span, so no division by c is made (:meth:`_Point.rows`).  With K a
-kernel basis of L, the rank is rank(L) + rank(N K) for the right-side
-rows N: L is reduced and K found once per trial, and each map ranks only
-its own N K, which has one row per right-side coefficient and one column
-per kernel vector, and which is formed by combining the products ``w v``,
-packed into single integers, with the entries of K before any
-coefficient is read.  No right-side row is reduced against L.  A trial
-of one map costs O(n^4 + k n^2) residue operations for k parameters.
-The point, the adjugate at it, L and K depend on the graph and the leaks
-alone, not on where inputs and outputs sit, so :func:`generic_ranks`
-evaluates them once per trial for a group of maps that differ only in
-placement; v is packed once per output and w once per input.  Which
-coefficients are non-constant has a closed form for strongly connected
-models (:func:`~compident.forests.nonconstant_sizes`), read by
-:func:`coefficient_maps` once per graph for every leak set on it.  No verdict expands a polynomial;
-the forest sums of :attr:`CoefficientMap.entries` serve tests and
-reference digests.
+Every coefficient is a coefficient of the characteristic polynomial
+``c = det(lambda*I - A)`` or of ``d = adj(lambda*I - A)[out][in]`` for
+an (output, input) pair, and the Jacobian's rank at a point is read off
+plain powers of A there, with no polynomial expanded.  By Newton's
+identities the c_k and the power sums tr(A^m), m = 1..n, are triangular
+functions of each other with diagonal m, so at any point their partials
+span the same rows, the left rows L.  The transfer function d/c is the
+sum of the Markov parameters h_t = e_out A^t e_in over lambda^(t+1), so
+``d_(n-1-s) = h_s + sum_(t<s) c_(n-s+t) h_t``: modulo the span of L the
+partials of a pair's d_k span what those of h_1..h_(n-1) span (h_0, the
+h_t below the input-output distance and the d_k the layout leaves out
+are constants).  A parameter a_ij adds to A[i][j] and subtracts from
+A[j][j] (a leak a_0j only the latter), so with u_r row ``out`` and v_r
+column ``in`` of A^r, ``d tr(A^(r+1))/da_ij = -(r+1) ((A^r)_jj -
+(A^r)_ji)`` and ``dh_t/da_ij = -sum_(r+q=t-1) (u_r[j] - u_r[i]) v_q[j]``;
+each parameter's rows drop the same sign, and a left row its factor,
+which keeps every rank.  With K a kernel basis of L, the rank is rank(L)
++ rank(H K) for the Markov rows H of a map's pairs: L is reduced and K
+found once per trial, and each map ranks only its own H K, which has one
+row per Markov parameter and one column per kernel vector, and which is
+formed by combining the convolutions, packed into single integers, with
+the entries of K before any coefficient is read.  No Markov row is
+reduced against L.  A trial of one map costs O(n^4 + k n^2) residue
+operations for k parameters.  The point, the powers A^0..A^(n-1), L and
+K depend on the graph and the leaks alone, not on where inputs and
+outputs sit, so :func:`generic_ranks` evaluates them once per trial for
+a group of maps that differ only in placement; each power is read as it
+is formed (its diagonal, one entry per parameter, row ``out`` per output
+and column ``in`` per input) and then dropped.  Which coefficients are
+non-constant has a closed form for strongly connected models
+(:func:`~compident.forests.nonconstant_sizes`), read by
+:func:`coefficient_maps` once per graph for every leak set on it.  No
+verdict expands a polynomial; the forest sums of
+:attr:`CoefficientMap.entries` serve tests and reference digests.
 
 The arithmetic mod p runs on whole rows at once (:class:`_Lanes`): a row
 of residues is packed into one integer, entry i in the s-bit slot at bit
@@ -45,8 +51,8 @@ reduction then brings every slot back into [0, p) by folding with
 2^61 - 1, 2^61 - 31 and 2^61 - 45), and one slot-wise conditional
 subtraction.  The fold stays inside a slot when bits(delta) < k, which
 holds for every odd prime; a slot must hold what it sums before the
-reduction, so Faddeev-LeVerrier needs s >= 2k + bits(row nonzeros) + 1
-and a row step of the elimination s >= 2k + 1.  The n - 1 sparse matrix
+reduction, so a matrix product needs s >= 2k + bits(row nonzeros) and
+a row step of the elimination s >= 2k + 1.  The n - 1 sparse matrix
 products mod p then take O(n (n + e)) big-integer operations for e edges
 and the elimination of L O(n min(n, k)), on rows of n or k slots.
 
@@ -69,11 +75,12 @@ can be bypassed (``force_rank``) to re-derive a verdict from rank alone.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .families import is_bidirectional_tree
 from .forests import (lhs_coefficients, nonconstant_counts, nonconstant_sizes,
@@ -261,14 +268,6 @@ def _pack(values: Sequence[int], s: int) -> int:
     return x
 
 
-def _inverses(n: int, p: int) -> list[int]:
-    """1/k mod p for k = 1..n (index k), by inv(k) = -(p // k) inv(p % k)."""
-    inv = [0, 1]
-    for k in range(2, n + 1):
-        inv.append((p - p // k) * inv[p % k] % p)
-    return inv
-
-
 class _Lanes:
     """Arithmetic mod p on rows of ``width`` residues packed into one
     integer: entry i of a row sits in the s-bit slot at bit s*i.
@@ -312,86 +311,54 @@ class _Lanes:
         return [x >> s * i & mask for i in range(self.width)]
 
 
-def _adjugate(a_rows: list[list[tuple[int, int]]],
-              p: int) -> tuple[list[list[int]], list[int], _Lanes]:
-    """adj(lambda*I - A) and det(lambda*I - A) mod p, by Faddeev-LeVerrier.
+def _powers(a_rows: list[list[tuple[int, int]]], lanes: _Lanes):
+    """A^0, A^1, A^2, ... mod p, each as its rows packed on ``lanes``
+    (entry j in slot j), formed one at a time as they are asked for.
 
     ``a_rows[i]`` lists the nonzero ``(j, A[i][j])`` of row i (0-based),
-    each a residue mod p.  Returns ``(B, c, lanes)``: ``B[k][a]`` is row a
-    of the matrix coefficient of lambda^k in the adjugate (k < n), packed
-    on ``lanes`` (entry b in slot b), and ``c[k]`` the coefficient of
-    lambda^k in the monic characteristic polynomial.  It takes n - 1
-    sparse matrix products mod p: row i of A M is the sum of a M_j over
-    the nonzeros of row i, one multiplication and one addition each, and
-    is reduced once.  A slot then sums at most (row nonzeros) products of
-    two residues plus a residue, so s = 2 bits(p) + bits(row nonzeros) + 1
-    keeps the slots apart.  The only inverses are those of 1..n.
+    each a residue mod p.  A step is one sparse matrix product: row i of
+    A M is the sum of a M_j over the nonzeros of row i, one
+    multiplication and one addition each, and is reduced once.  A slot
+    then sums at most (row nonzeros) products of two residues, so
+    s = 2 bits(p) + bits(row nonzeros) + 1 keeps the slots apart.
     """
-    n = len(a_rows)
-    inv = _inverses(n, p)
-    s = 2 * p.bit_length() + max(map(len, a_rows)).bit_length() + 1
-    lanes = _Lanes(p, s, n)
-    reduce, mask = lanes.reduce, lanes.mask
-    eye = [1 << s * i for i in range(n)]
-    c = [0] * (n + 1)
-    c[n] = 1
-    M = eye
-    B = [M] * n                 # B[n - 1] = I; the others are set below
-    for k in range(1, n):
-        AM = [sum(a * M[j] for j, a in row) for row in a_rows]
-        ck = c[n - k] = -sum(x >> s * i & mask
-                             for i, x in enumerate(AM)) * inv[k] % p
-        M = B[n - 1 - k] = [reduce(x + ck * e) for x, e in zip(AM, eye)]
-    c[0] = -sum(a * (M[j] >> s * i & mask) for i, row in enumerate(a_rows)
-                for j, a in row) * inv[n] % p
-    return B, c, lanes
-
-
-def _diff(row: Sequence, j: int, i: Optional[int], p: int) -> Sequence:
-    """row[j] - row[i], or row[j] alone for a leak."""
-    if i is None:
-        return row[j]
-    return tuple((a - b) % p for a, b in zip(row[j], row[i]))
+    power = [1 << lanes.s * i for i in range(len(a_rows))]
+    while True:
+        yield power
+        power = [lanes.reduce(sum(a * power[j] for j, a in row))
+                 for row in a_rows]
 
 
 class _Point:
     """What one point gives every map on its graph and leaks, mod its
-    prime, and the Jacobian rows it makes.
+    prime, and the Markov rows it makes.
 
-    ``c`` is the characteristic polynomial and :meth:`entry` gives entry
-    (a, b) of adj(lambda*I - A), 0-based, by ascending powers of lambda;
-    the adjugate stays packed as Faddeev-LeVerrier left it, and only the
-    entries used are read off: the diagonal and entry (j, i) per
-    parameter here, row ``out`` per output and column ``in`` per input in
-    :meth:`rows`.  ``cols`` gives per parameter ``a_ij`` the 0-based
-    ``(i, j)``, with i None for a leak ``a_0j``, and ``lhs`` its partials
-    of ``c``.  With M = lambda*I - A, ``a_ij`` sits at M[i][j] as -a_ij
-    and at M[j][j] as +a_ij (``a_0j`` only at M[j][j]), so ``c = det M``
-    is affine in it and ``dc/da_ij = adj_jj - adj_ji``.  None of this
-    depends on where the inputs and outputs sit.
-
-    ``left`` lists the orders k of the left-side coefficients ``c_k``
-    that the maps rank.  Their rows, packed one slot per parameter, are
-    reduced once: ``rank`` is their rank and ``kernel`` a basis of their
-    kernel, which multiplies every right-side row (:meth:`rows`).  With no
-    left rows the kernel basis is the unit vectors, and :meth:`rows` gives
-    the right-side rows themselves.  ``lanes`` packs a row of N K, one
+    The powers A^0..A^(n-1) (:func:`_powers`) are read as they are
+    formed and then dropped.  ``cols`` gives per parameter ``a_ij`` the
+    0-based ``(i, j)``, with i None for a leak ``a_0j``.  The left row of
+    power r holds per parameter ``(A^r)_jj - (A^r)_ji`` (``(A^r)_jj`` for
+    a leak), the partial of tr(A^(r+1)) up to the factor -(r+1).  These n
+    rows, packed one slot per parameter, are reduced once: ``rank`` is
+    their rank and ``kernel`` a basis of their kernel, which multiplies
+    every Markov row (:meth:`rows`).  ``lanes`` packs a row of H K, one
     slot per kernel vector, with s = 2 bits(p) + 1: a row step of the
-    elimination sums two products of residues.
+    elimination sums two products of residues.  None of this depends on
+    where the inputs and outputs sit.
 
-    Right-side rows come from products of polynomials of degree < n,
-    formed as integer products.  A polynomial is packed into one integer,
-    coefficient k at bit s*(n-1-k) for k >= 1, so the product of two
-    packings holds coefficient 2n-2-t of the polynomial product in slot
-    t; the constant terms only reach slots n-1 and above, which are never
-    read, and are left out.  A kernel vector combines the products of all
-    P parameters before any slot is read, so a slot sums at most n*P
-    products of three residues below p (a w, a v and a kernel entry), and
-    s = 3*bits(p) + bits(n*P) keeps the slots apart.
+    Of each power r < n - 1, row ``out`` is kept per output in ``outs``
+    and column ``in`` per input in ``ins`` (1-based), as polynomials in
+    r packed into one integer, coefficient r at bit s*r: per output and
+    parameter U = ``sum_r (u_r[j] - u_r[i]) x^r`` (u_r[j] alone for a
+    leak), per input and compartment j V = ``sum_r v_r[j] x^r``.  The
+    product U V of a parameter's two packings holds in slot t its partial
+    of h_(t+1), up to the sign.  A kernel vector combines the products
+    of all P parameters before any slot is read, so a slot sums at most
+    n*P products of three residues below p (a u, a v and a kernel entry),
+    and s = 3*bits(p) + bits(n*P) keeps the slots apart.
     """
 
     def __init__(self, n: int, params: Sequence[Param], point: FieldPoint,
-                 left: Sequence[int]):
+                 outs: Iterable[int], ins: Iterable[int]):
         p, values = point.prime, point.values
         a_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         diag = [0] * n
@@ -402,84 +369,55 @@ class _Point:
                 a_rows[i - 1].append((j - 1, v))
         for j in range(n):
             a_rows[j].append((j, diag[j] % p))
-        self._B, self.c, self._adj_lanes = _adjugate(a_rows, p)
+        s = 2 * p.bit_length() + max(map(len, a_rows)).bit_length() + 1
+        lanes = _Lanes(p, s, n)
+        mask = lanes.mask
         self.p, self.n = p, n
-        self.cols = [(i - 1 if i else None, j - 1) for (i, j) in params]
-        dd = [self.entry(j, j) for j in range(n)]
-        self.lhs = [dd[j] if i is None else
-                    [(a - b) % p for a, b in zip(dd[j], self.entry(j, i))]
-                    for (i, j) in self.cols]
-        s = 2 * p.bit_length() + 1
-        by_param = _Lanes(p, s, len(params))
-        self.rank, self.kernel = _kernel(
-            [_pack([du[k] for du in self.lhs], s) for k in left],
-            by_param)
-        self.lanes = _Lanes(p, s, len(self.kernel))
-        self._slot = 3 * p.bit_length() + (n * len(params)).bit_length()
-        self._v: dict[int, list[int]] = {}
-        self._w: dict[int, list[int]] = {}
+        self.cols = cols = [(i - 1 if i else None, j - 1) for (i, j) in params]
+        width = 2 * p.bit_length() + 1
+        left = []
+        # per output, entry j of row out of each power; per input, entry
+        # j of column in; powers 0..n-2, by ascending power
+        row_out = {out: [[] for _ in range(n)] for out in outs}
+        col_in = {inp: [[] for _ in range(n)] for inp in ins}
+        for r, power in enumerate(itertools.islice(_powers(a_rows, lanes), n)):
+            dd = [power[j] >> s * j & mask for j in range(n)]
+            left.append(_pack([dd[j] if i is None else
+                               (dd[j] - (power[j] >> s * i & mask)) % p
+                               for (i, j) in cols], width))
+            if r < n - 1:
+                for out, u in row_out.items():
+                    for uj, x in zip(u, lanes.unpack(power[out - 1])):
+                        uj.append(x)
+                for inp, v in col_in.items():
+                    shift = s * (inp - 1)
+                    for vj, x in zip(v, power):
+                        vj.append(x >> shift & mask)
+        self.rank, self.kernel = _kernel(left, _Lanes(p, width, len(cols)))
+        self.lanes = _Lanes(p, width, len(self.kernel))
+        self._slot = slot = 3 * p.bit_length() + (n * len(cols)).bit_length()
+        self._u = {out: [_pack(u[j] if i is None else
+                               [(a - b) % p for a, b in zip(u[j], u[i])], slot)
+                         for (i, j) in cols]
+                   for out, u in row_out.items()}
+        self._v = {inp: [_pack(vj, slot) for vj in v]
+                   for inp, v in col_in.items()}
 
-    def entry(self, a: int, b: int) -> list[int]:
-        """Entry (a, b) of adj(lambda*I - A) by ascending powers of lambda."""
-        shift, mask = self._adj_lanes.s * b, self._adj_lanes.mask
-        return [Bk[a] >> shift & mask for Bk in self._B]
-
-    def rows(self, coeffs: Sequence[tuple[int, int, int]]) -> list[int]:
-        """The right-side rows of the coefficients times the kernel basis,
-        packed on ``lanes``: per coefficient, one slot per kernel vector.
-
-        With u = dc/da_ij, d = adj(M)[out][in], w = adj_j,in and
-        v = adj_out,j - adj_out,i (adj_out,j alone for a leak), the Jacobi
-        identity ``d adj_ab / d M_rc = (adj_cr adj_ab - adj_ar adj_cb) / c``
-        gives ``dd/da_ij = Q(u d) - Q(w v)``, where Q takes the quotient of
-        the division by the monic c.  Q is linear, so the rows of ``Q(u d)``
-        are, for every parameter alike, fixed combinations of the rows of
-        u: they lie in the span of the left-side rows (a constant ``c_k``
-        has a zero row).  Reversed, Q is multiplication by 1/rev(c) mod
-        x^(n-1): with rows counted by t = n-2-k, row t of ``Q(w v)`` is row
-        t of the top coefficients of ``w v`` plus multiples of its rows
-        before t.  A block of ``d_k`` starts at t0 = max(dist, 1) - 1 and
-        the Jacobian rows before it are zero, so rows 0..t0-1 of ``w v``
-        lie in the left span, and modulo that span the kept rows of the
-        quotient span what the same rows of ``w v`` span: no division by
-        c is needed.  Modulo the left span a row x is known by x K, so an
-        entry is slot t of ``sum_ij K_ij w v`` for one kernel vector K.
+    def rows(self, out: int, inp: int) -> list[int]:
+        """The rows of the Markov parameters h_1..h_(n-1) of the pair
+        (1-based) times the kernel basis, packed on ``lanes``: per Markov
+        parameter, one slot per kernel vector.  Modulo the left span a row
+        x is known by x K, so an entry is slot t of ``sum_ij K_ij U V``
+        for one kernel vector K.
         """
-        p, s, top, width = self.p, self._slot, self.n - 2, self.lanes.s
+        p, s, width = self.p, self._slot, self.lanes.s
         mask = (1 << s) - 1
-        rows = []
-        pair = None
-        for (out, inp, k) in coeffs:
-            if (out, inp) != pair:
-                pair = (out, inp)
-                products = self._products(out - 1, inp - 1)
-                sums = [sum(map(mul, vec.values(),
-                                map(products.__getitem__, vec)))
-                        for vec in reversed(self.kernel)]
-            shift = s * (top - k)
-            row = 0
-            for x in sums:          # the last kernel vector's slot on top
-                row = row << width | (x >> shift & mask) % p
-            rows.append(row)
-        return rows
-
-    def _products(self, out: int, inp: int) -> list[int]:
-        """``w v`` of every parameter, packed; v is packed once per output,
-        w once per input."""
-        p, s, n = self.p, self._slot, self.n
-        top = self._B[:0:-1]            # coefficients n-1 down to 1
-        vs = self._v.get(out)
-        if vs is None:
-            unpack = self._adj_lanes.unpack
-            row_o = list(zip(*[unpack(Bk[out]) for Bk in top]))
-            vs = self._v[out] = [_pack(_diff(row_o, j, i, p), s)
-                                 for (i, j) in self.cols]
-        ws = self._w.get(inp)
-        if ws is None:
-            shift, mask = self._adj_lanes.s * inp, self._adj_lanes.mask
-            ws = self._w[inp] = [_pack([Bk[j] >> shift & mask for Bk in top],
-                                       s) for j in range(n)]
-        return [ws[j] * v for v, (_i, j) in zip(vs, self.cols)]
+        vs = self._v[inp]
+        products = [vs[j] * u for u, (_i, j) in zip(self._u[out], self.cols)]
+        sums = [sum(map(mul, vec.values(), map(products.__getitem__, vec)))
+                for vec in self.kernel]
+        return [_pack([(x >> s * t & mask) % p for x in sums], width)
+                for t in range(self.n - 1)]
 
 
 def _echelon(rows: Sequence[int],
@@ -568,13 +506,14 @@ def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
     """:func:`generic_rank` of each map, evaluating each point once.
 
     The maps must share the compartment count, edges and leaks; they may
-    place inputs and outputs anywhere.  A trial's point, the adjugate at
-    it, and the left-side rows with their rank and kernel basis K then
-    serve every map; v serves every map with the same output and w every
-    map with the same input.  A map's rank is rank(left) + rank(N K) for
-    its right-side rows N, and only N K is formed and ranked per map.
-    Each map keeps its own early stop, so every report equals that of
-    ``generic_rank`` alone.
+    place inputs and outputs anywhere.  A trial's point, the powers of A
+    at it, and the left rows with their rank and kernel basis K then
+    serve every map; the packed row ``out`` serves every map with that
+    output and column ``in`` every map with that input.  A map's rank is
+    rank(left) + rank(H K) for the Markov rows H of its (output, input)
+    pairs, and only H K is formed and ranked per map.  Each map keeps its
+    own early stop, so every report equals that of ``generic_rank``
+    alone.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -586,10 +525,6 @@ def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
         raise ValueError("maps must share compartments, edges and leaks")
     params = cms[0].params
     caps = [min(cm.p, cm.m) for cm in cms]
-    # A model has at least one output, and every output has the same left
-    # side, so the left rows and their kernel serve every map.
-    left = sorted({k for (_out, inp, k) in cms[0].coeffs if inp is None})
-    rhs = [[co for co in cm.coeffs if co[1] is not None] for cm in cms]
     logs: list[list[TrialResult]] = [[] for _ in cms]
     best = [0] * len(cms)
     for t in range(trials):
@@ -599,11 +534,16 @@ def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
         prime = PRIMES[t % len(PRIMES)]
         trial_seed = seed + t
         point = FieldPoint.random(params, prime, random.Random(trial_seed))
-        at = _Point(model.n, params, point, left)
-        for k in live:
+        models = [cms[k].model for k in live]
+        at = _Point(model.n, params, point,
+                    {out for m in models for out in m.outputs},
+                    {inp for m in models for inp in m.inputs})
+        for k, m in zip(live, models):
             r = at.rank
             if at.kernel:           # else the left rows have full rank
-                r += len(_echelon(at.rows(rhs[k]), at.lanes))
+                r += len(_echelon([row for out in m.outputs
+                                   for inp in m.inputs
+                                   for row in at.rows(out, inp)], at.lanes))
             logs[k].append(TrialResult(prime, trial_seed, r))
             best[k] = max(best[k], r)
     return [RankReport(best[k], tuple(logs[k]), cm.p, cm.m)

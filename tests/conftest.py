@@ -378,8 +378,10 @@ def faddeev_leverrier(a_rows, p: int) -> tuple[list, list[int]]:
     ``(B, c)``: ``B[k][a][b]`` is entry (a, b) of the matrix coefficient
     of lambda^k in the adjugate (k < n) and ``c[k]`` the coefficient of
     lambda^k in the monic characteristic polynomial.  Element by element,
-    with every entry reduced after each product and 1/k by Fermat; the package runs the
-    same recursion on packed rows (``identify._adjugate``).
+    with every entry reduced after each product and 1/k by Fermat.  The
+    package never forms the adjugate: it ranks power sums and Markov
+    parameters (``identify._Point``), so this recursion is an independent
+    route to the same Jacobian.
     """
     n = len(a_rows)
     inv = [0] + [pow(k, p - 2, p) for k in range(1, n + 1)]   # Fermat
@@ -404,6 +406,19 @@ def faddeev_leverrier(a_rows, p: int) -> tuple[list, list[int]]:
     return B, c
 
 
+def matrix_powers(a_rows, p: int, count: int) -> list[list[list[int]]]:
+    """A^0..A^(count-1) mod p as dense lists, from the sparse rows of A
+    (:func:`point_rows`), each entry reduced after each product."""
+    n = len(a_rows)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    powers = []
+    for _ in range(count):
+        powers.append(power)
+        power = [[sum(a * power[j][b] for j, a in row) % p for b in range(n)]
+                 for row in a_rows]
+    return powers
+
+
 def adjugate_at(n: int, params, point):
     """``(adj, c)`` at the point by :func:`faddeev_leverrier`:
     ``adj[a][b]`` lists entry (a, b) of adj(lambda*I - A) by ascending
@@ -417,12 +432,13 @@ def jacobian_at(cm, point) -> list[list[int]]:
     """The Jacobian of the coefficient map at the point, mod its prime.
 
     A left-side row holds the partials of c, ``adj_jj - adj_ji`` for
-    ``a_ij`` (``adj_jj`` for a leak).  The right-side row of ``d_k``
-    holds, per parameter, coefficient k of Q(u d - w v), the Jacobi
-    identity's whole numerator divided by the monic c by long division,
-    which is checked to be exact; u, d, w and v are as in
-    ``identify._Point.rows`` and Q is the quotient.  The adjugate comes
-    from :func:`adjugate_at`, not from the package.
+    ``a_ij`` (``adj_jj`` for a leak).  With M = lambda*I - A, the Jacobi
+    identity ``d adj_ab / d M_rc = (adj_cr adj_ab - adj_ar adj_cb) / c``
+    gives the right-side row of ``d_k``: per parameter, coefficient k of
+    the quotient of ``u d - w v`` by the monic c, by long division that
+    is checked to be exact, for u = dc/da_ij, d = adj_out,in, w =
+    adj_j,in and v = adj_out,j - adj_out,i (adj_out,j alone for a leak).
+    The adjugate comes from :func:`adjugate_at`, not from the package.
     """
     p = point.prime
     adj, c = adjugate_at(cm.model.n, cm.params, point)

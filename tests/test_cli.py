@@ -32,6 +32,7 @@ from compident.families import bidirectional_tree_model, labeled_trees
 from compident.graphs import leak_augmented
 from compident.identify import coefficient_map, generic_rank
 from compident.model import load_model
+from compident.transforms import ALL_KINDS
 
 from conftest import FIXTURES_DIR, count_calls, dropping_a_term, mk, \
     reference_text
@@ -104,7 +105,7 @@ def _one_way_cycle_60():
 
 def _dense_20():
     # strongly connected, and row 1 of A has 20 nonzeros: the slots of
-    # the packed adjugate are wider than 128 bits
+    # the packed powers of A are 128 bits wide
     rng = random.Random(20)
     n = 20
     edges = {(i, i % n + 1) for i in range(1, n + 1)}
@@ -814,12 +815,12 @@ def test_sweep_trees_internal_failure_exits_3(monkeypatch, capsys):
     assert err == "internal error: injected failure\n"
 
 
-def test_sweep_trees_evaluates_one_adjugate_per_tree_and_leak_set(
+def test_sweep_trees_forms_the_powers_once_per_tree_and_leak_set(
         monkeypatch, capsys):
     # 22 (class representative, leak set orbit) groups for n <= 4: 2 + 3
     # + 5, then 5 for the star and 7 for the path, against 3,023 models;
     # every tree map reaches min(p, m) at its first trial
-    calls = count_calls(monkeypatch, identify, "_adjugate")
+    calls = count_calls(monkeypatch, identify, "_powers")
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
     assert len(calls) == 22
@@ -953,3 +954,102 @@ def test_fixture_files_match_builtin_corpus(fixtures_dir):
             assert fh.read().strip() == serialize_model(ref[name])
     assert {name: meta["expected_verdict"] for name, meta in manifest.items()} \
         == reference_verdicts()
+
+
+# -- fuzzing the command line -------------------------------------------------
+
+_WRONG_VALUES = ("1", 1.5, None, True, [], {}, [[1]], -1, 0, 6, 10 ** 30)
+
+
+def _mutated_model_text(doc: dict, rng) -> str:
+    """The JSON text of a fixture document after up to three random
+    mutations: a key dropped or added, a value of the wrong type, an
+    out-of-range, duplicate or ill-typed compartment id, a duplicate, self
+    or ill-formed edge, or the text cut short."""
+    n = doc["compartments"]
+    for _ in range(rng.randrange(4)):
+        kind = rng.randrange(6)
+        if kind == 0 and doc:
+            del doc[rng.choice(sorted(doc))]
+        elif kind == 1:
+            doc[rng.choice(("extra", "Edges", "leaks", ""))] = \
+                rng.choice(_WRONG_VALUES)
+        elif kind == 2 and doc:
+            doc[rng.choice(sorted(doc))] = rng.choice(_WRONG_VALUES)
+        elif kind == 3:
+            ids = doc.get(rng.choice(("in", "out", "leak")))
+            if isinstance(ids, list):
+                ids.append(rng.choice(ids + [0, -1, n + 1, "2", 2.0, None]))
+        elif kind == 4 and isinstance(doc.get("edges"), list):
+            edges = doc["edges"]
+            dicts = [e for e in edges if isinstance(e, dict)]
+            edge = dict(rng.choice(dicts)) if dicts else {"from": 1, "to": 2}
+            key, other = rng.sample(("from", "to"), 2)
+            # kept: a duplicate edge; the other end: a self-edge
+            edge[key] = rng.choice((edge[key], edge[other], n + 1, 0, "1",
+                                    None))
+            if rng.random() < 0.2:
+                edge["via"] = 1
+            edges.append(edge)
+        elif kind == 5:
+            text = json.dumps(doc)
+            return text[:rng.randrange(len(text))]
+    return json.dumps(doc)
+
+
+def _fuzzed_argv(rng, path: str) -> list[str]:
+    command = rng.choice(("analyze", "coeffs", "transform"))
+    argv = [command, path if rng.random() < 0.95 else path + ".missing"]
+    if command == "analyze":
+        if rng.random() < 0.5:
+            argv.append("--force-rank")
+        if rng.random() < 0.2:
+            argv += ["--trials", rng.choice(("1", "2", "0", "x"))]
+    elif command == "coeffs":
+        if rng.random() < 0.7:
+            argv += ["--method", rng.choice(("forest", "det", "both", "all"))]
+    else:
+        if rng.random() < 0.9:
+            argv += ["--op", rng.choice(ALL_KINDS + ("add-edge",))]
+        if rng.random() < 0.8:
+            argv += ["--at", rng.choice(("1", "2", "4", "0", "-1", "9", "x"))]
+    if rng.random() < 0.5:
+        argv.append("--json")
+    if rng.random() < 0.05:
+        argv.append(rng.choice(("--bogus", "extra")))
+    return argv
+
+
+def _open_fds() -> list[str]:
+    for path in ("/proc/self/fd", "/dev/fd"):
+        if os.path.isdir(path):
+            return sorted(os.listdir(path))
+    pytest.skip("no way to list this process's open file descriptors")
+
+
+def test_fuzzed_models_and_arguments_exit_cleanly(capsys, fixtures_dir,
+                                                 tmp_path):
+    # seeded mutations of the fixture files (n <= 4) and of the arguments
+    # of analyze, coeffs and transform: every call ends in success, a
+    # usage error or a refused model, never an internal error, and leaves
+    # no file open
+    rng = random.Random(2024)
+    docs = []
+    for meta in MANIFEST.values():
+        with open(os.path.join(fixtures_dir, meta["file"])) as fh:
+            docs.append(fh.read())
+    path = str(tmp_path / "model.json")
+    fds = _open_fds()
+    codes = collections.Counter()
+    for _ in range(400):
+        text = _mutated_model_text(json.loads(rng.choice(docs)), rng)
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = _fuzzed_argv(rng, path)
+        code, _out, err = run_cli(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVALID_MODEL), \
+            (argv, text, err)
+        assert _open_fds() == fds, (argv, text)
+        codes[code] += 1
+    # every outcome occurs, so the mutations reach past the parser
+    assert set(codes) == {EXIT_OK, EXIT_USAGE, EXIT_INVALID_MODEL}

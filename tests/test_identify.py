@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import operator
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from compident.families import (
 )
 from compident.identify import (
     DEFAULT_SEED,
+    DEFAULT_TRIALS,
     IDENTIFIABLE,
     METHOD_COUNT,
     METHOD_CONVENTION,
@@ -31,6 +33,7 @@ from compident.identify import (
     _Lanes,
     _Point,
     _pack,
+    _powers,
     _echelon,
     _kernel,
     classify_tree,
@@ -44,14 +47,16 @@ from compident.identify import (
     isc_sufficiency,
     verdict_to_dict,
 )
+from compident import identify
 from compident import model as model_module
 from compident.forests import lhs_coefficients, rhs_coefficients
 from compident.model import Model, distance, model_to_dict, param_vector
 from compident.poly import PRIMES, FieldPoint, Poly
 
 from conftest import (adjugate_at, all_digraphs, closure_strongly_connected,
-                      count_calls, eval_mod, jacobian_at, mk,
-                      partial_derivative, rank_mod, rational_generic_rank,
+                      count_calls, eval_mod, jacobian_at, matrix_powers, mk,
+                      partial_derivative, point_rows, rank_mod,
+                      rational_generic_rank,
                       reference_generic_rank, symbolic_jacobian_mod_point,
                       symbolic_map)
 
@@ -185,12 +190,12 @@ def test_jacobian_fast_path_with_higher_exponents():
 def _assert_matches_oracle(m, seed=DEFAULT_SEED):
     """The oracle's map, laid out from the expanded coefficients: equal to
     coefficient_map(m) for a strongly connected model, and refused by
-    coefficient_map for any other.  At each trial's point and prime, the full
-    Jacobian equal to the oracle's, and for each (output, input) pair one
-    package row per coefficient, spanning with the left-side rows what
-    the oracle's rows of the pair span with them: rank(left + package) =
-    rank(left + oracle) = rank(left + both); and generic_rank's per-trial
-    ranks equal to the oracle's."""
+    coefficient_map for any other.  At each trial's point and prime, the
+    full Jacobian equal to the oracle's; the point's left rank equal to
+    the rank of the oracle's left-side rows, and for each (output, input)
+    pair its Markov rows times the kernel basis adding what the pair's
+    oracle rows add to them: rank(left) + rank(rows) = rank(left +
+    oracle); and generic_rank's per-trial ranks equal to the oracle's."""
     cm = symbolic_map(m)
     if closure_strongly_connected(m.n, m.edges):
         assert coefficient_map(m) == cm, model_to_dict(m)
@@ -206,16 +211,15 @@ def _assert_matches_oracle(m, seed=DEFAULT_SEED):
         pairs: dict = {}
         for co, row in zip(cm.coeffs, oracle):
             if co[1] is not None:
-                coeffs, rows = pairs.setdefault(co[:2], ([], []))
-                coeffs.append(co)
-                rows.append(row)
-        at = _Point(m.n, cm.params, point, ())
-        for coeffs, want in pairs.values():
-            got = [at.lanes.unpack(row) for row in at.rows(coeffs)]
-            assert len(got) == len(coeffs), (model_to_dict(m), t, coeffs)
-            spans = {rank_mod(left + got, prime), rank_mod(left + want, prime),
-                     rank_mod(left + got + want, prime)}
-            assert len(spans) == 1, (model_to_dict(m), t, coeffs)
+                pairs.setdefault(co[:2], []).append(row)
+        at = _Point(m.n, cm.params, point, m.outputs, m.inputs)
+        assert at.rank == rank_mod(left, prime), (model_to_dict(m), t)
+        for out, inp in itertools.product(m.outputs, m.inputs):
+            got = [at.lanes.unpack(row) for row in at.rows(out, inp)]
+            assert len(got) == m.n - 1
+            assert at.rank + rank_mod(got, prime) == rank_mod(
+                left + pairs.get((out, inp), []), prime), \
+                (model_to_dict(m), t, out, inp)
         oracle_ranks.append(rank_mod(oracle, prime))
     trials = generic_rank(cm, trials=len(PRIMES), seed=seed).trials
     assert [t.rank for t in trials] == oracle_ranks[:len(trials)]
@@ -237,6 +241,27 @@ def test_adjugate_route_matches_oracle_exhaustive():
     assert checked == 4098
 
 
+def test_generic_ranks_match_oracle_multi_io_exhaustive():
+    # every strongly connected digraph with n <= 3, every set of one or
+    # two inputs and of one or two outputs, and every leak set of size
+    # <= 2; the placements of one graph and leak set ranked as one group
+    checked = 0
+    for n, edges in all_digraphs(3):
+        if not closure_strongly_connected(n, edges):
+            continue
+        sets = [s for k in (1, 2)
+                for s in itertools.combinations(range(1, n + 1), k)]
+        for size in (0, 1, 2):
+            for leaks in itertools.combinations(range(1, n + 1), size):
+                cms = _placements(n, edges, leaks,
+                                  itertools.product(sets, sets))
+                assert generic_ranks(cms) == [
+                    reference_generic_rank(cm, DEFAULT_TRIALS, DEFAULT_SEED)
+                    for cm in cms]
+                checked += len(cms)
+    assert checked == 4574
+
+
 def test_adjugate_route_matches_oracle_random():
     rng = random.Random(69)
     for n in (4, 5, 6, 7):
@@ -254,28 +279,60 @@ def test_adjugate_route_matches_oracle_random():
         _assert_matches_oracle(mk(n, edges, ins, outs, leaks))
 
 
+def _point_with_its_powers(n, params, point, places):
+    """The point of the (input, output) places, with the lanes of its
+    powers and every power it formed, unpacked."""
+    formed = []
+
+    def spy(a_rows, lanes):
+        formed.append(lanes)
+        for power in _powers(a_rows, lanes):
+            formed.append([lanes.unpack(row) for row in power])
+            yield power
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identify, "_powers", spy)
+        at = _Point(n, params, point, {out for _inp, out in places},
+                    {inp for inp, _out in places})
+    return at, formed[0], formed[1:]
+
+
 def _assert_point_reads_the_oracle(n, params, point, places):
-    """c, the partials of c and every adjugate entry _Point reads -- the
-    diagonal, entry (j, i) per parameter, and row out and column in per
-    (input, output) place -- equal those of the list-based oracle."""
-    adj, c = adjugate_at(n, params, point)
-    at = _Point(n, params, point, ())
-    assert at.c == c
-    read = {(j, j) for j in range(n)}
-    read |= {(j, i) for (i, j) in at.cols if i is not None}
+    """The powers _Point forms, A^0..A^(n-1) and no more, equal the
+    list-based powers.  Its left rank equals the rank of the partials of
+    c from the list-based adjugate, and every kernel vector annuls those
+    rows.  For each (input, output) place, its Markov rows times the
+    kernel basis equal those formed from the list-based powers: the
+    partial of h_(t+1) by a_ij is ``-sum_(r+q=t) (u_r[j] - u_r[i])
+    v_q[j]``, with the sign dropped."""
+    p = point.prime
+    at, lanes, formed = _point_with_its_powers(n, params, point, places)
+    rows = point_rows(n, params, point)
+    powers = matrix_powers(rows, p, n)
+    assert formed == powers
+    assert lanes.s >= 2 * p.bit_length() + max(map(len, rows)).bit_length()
+    adj, _c = adjugate_at(n, params, point)
+    cols = [(i - 1 if i else None, j - 1) for (i, j) in params]
+    lhs = [[adj[j][j][k] if i is None else (adj[j][j][k] - adj[j][i][k]) % p
+            for (i, j) in cols] for k in range(n)]
+    assert at.rank == rank_mod(lhs, p)
+    kernel = [[vec.get(c, 0) for c in range(len(cols))] for vec in at.kernel]
+    assert len(kernel) == len(cols) - at.rank
+    assert all(sum(map(operator.mul, row, vec)) % p == 0
+               for row in lhs for vec in kernel)
     for inp, out in places:
-        read |= {(out - 1, b) for b in range(n)}
-        read |= {(a, inp - 1) for a in range(n)}
-    for (a, b) in read:
-        assert at.entry(a, b) == adj[a][b], (a, b)
-    assert at.lhs == [
-        adj[j][j] if i is None else
-        [(x - y) % point.prime for x, y in zip(adj[j][j], adj[j][i])]
-        for (i, j) in at.cols]
-    return at
+        u = [power[out - 1] for power in powers]
+        v = [[row[inp - 1] for row in power] for power in powers]
+        markov = [[sum((u[r][j] - (0 if i is None else u[r][i])) * v[t - r][j]
+                       for r in range(t + 1)) for (i, j) in cols]
+                  for t in range(n - 1)]
+        assert [at.lanes.unpack(row) for row in at.rows(out, inp)] == [
+            [sum(map(operator.mul, h, vec)) % p for vec in kernel]
+            for h in markov], (inp, out)
+    return lanes
 
 
-def test_point_reads_the_oracle_adjugate_exhaustive():
+def test_point_reads_the_oracle_powers_exhaustive():
     # every digraph with n <= 3 and leak set of size <= 2, at a point over
     # each prime; every single input/output placement reads its row and
     # column
@@ -292,10 +349,10 @@ def test_point_reads_the_oracle_adjugate_exhaustive():
     assert models == 4098
 
 
-def test_point_reads_the_oracle_adjugate_random():
+def test_point_reads_the_oracle_powers_random():
     # seeded random models with n = 4..12, several inputs and outputs,
-    # then two whose row 1 has more than 15 nonzeros, so the packed
-    # adjugate's slots reach 128 bits
+    # then two whose row 1 has more than 15 nonzeros, so the slots of the
+    # packed powers reach 128 bits
     rng = random.Random(73)
     models = []
     for n in range(4, 13):
@@ -314,9 +371,9 @@ def test_point_reads_the_oracle_adjugate_random():
         for prime in PRIMES:
             point = FieldPoint.random(params, prime,
                                       random.Random(rng.randrange(10 ** 6)))
-            at = _assert_point_reads_the_oracle(
-                n, params, point, itertools.product(ins, outs))
-            widths.append(at._adj_lanes.s)
+            lanes = _assert_point_reads_the_oracle(
+                n, params, point, list(itertools.product(ins, outs)))
+            widths.append(lanes.s)
     assert max(widths) == 128
 
 
@@ -332,8 +389,8 @@ def test_point_leaves_no_cyclic_garbage():
         report = generic_rank(cm)
         at = _Point(m.n, cm.params,
                     FieldPoint.random(cm.params, PRIMES[0], random.Random(1)),
-                    range(m.n))
-        assert at.kernel and at.rows([co for co in cm.coeffs if co[1]])
+                    m.outputs, m.inputs)
+        assert at.kernel and at.rows(3, 1)
         del at
         assert gc.collect() == 0
     finally:
