@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from . import families
 from .determinant import IdentityCheckError, check_minor_identities, \
-    det_lhs, det_rhs
+    det_sides
 from .forests import forest_buckets, forest_lhs, forest_rhs
 from .graphs import flip_into_leak, strip_outgoing
 from .identify import (
@@ -145,12 +145,15 @@ Sides = tuple[list[Packed], dict[tuple[int, int], list[Packed]]]
 
 def _sides(m: Model, codec: _Codec, method: str) -> Sides:
     """The packed coefficients of every equation of m by one route
-    (``"forest"`` or ``"det"``), the left side computed once."""
-    lhs_of, rhs_of = ((forest_lhs, forest_rhs) if method == "forest"
-                      else (det_lhs, det_rhs))
-    return lhs_of(m, codec), {(out, inp): rhs_of(m, out, inp, codec)
-                              for out in sorted(m.outputs)
-                              for inp in sorted(m.inputs)}
+    (``"forest"`` or ``"det"``), the left side computed once: by
+    determinants on one Laplace memo per input, or by forests in one
+    traversal per output."""
+    outputs, inputs = sorted(m.outputs), sorted(m.inputs)
+    if method == "det":
+        return det_sides(m, codec, outputs, inputs)
+    return forest_lhs(m, codec), {
+        (out, inp): ds for out in outputs
+        for inp, ds in forest_rhs(m, out, inputs, codec).items()}
 
 
 def _disagreeing_outputs(m: Model, a: Sides, b: Sides) -> list[int]:
@@ -175,8 +178,9 @@ def cmd_coeffs(args) -> int:
     if not m.inputs:
         raise NoInputError("model has no inputs")
     codec = _Codec(param_vector(m))
-    # The determinant route runs first, so the Laplace memo of
-    # det(lambda*I - A) is gone before any forest sum exists.
+    # The determinant route runs first, so its Laplace memos, one per
+    # input and shared by c and every d, are gone before any forest sum
+    # exists.
     sides = _sides(m, codec, "forest" if args.method == "forest" else "det")
     if args.method == "both":
         bad = _disagreeing_outputs(m, sides, _sides(m, codec, "forest"))
@@ -184,10 +188,13 @@ def cmd_coeffs(args) -> int:
             print("internal error: forest and determinant coefficients "
                   f"disagree for output {bad[0]}", file=sys.stderr)
             return EXIT_INTERNAL
+    # The codec names each chunk of fields once, in a memo it keeps; the
+    # memo goes with the codec and the packed sides, before the output is
+    # built.
     n, text = m.n, codec.text
     lhs = [text(c) for c in sides[0]]
     rhs = {pair: [text(d) for d in ds] for pair, ds in sides[1].items()}
-    del sides               # not held while the output is built
+    del sides, codec, text
     outputs = []
     for out in sorted(m.outputs):
         ins = {j: rhs[out, j] for j in sorted(m.inputs)}

@@ -17,10 +17,13 @@ identities that relate a model to its leaf-edge extension.
 Determinants use Laplace expansion memoized over column subsets, which is
 division-free: O(n * 2^n) products of an entry with a minor.  It runs
 on packed monomials (see :mod:`compident.poly`), where a product of two
-monomials is one integer addition.  Every determinant here, equation
-side or identity check, is a :func:`_minor` of the packed ``lambda*I - A``
-of :func:`~compident.graphs.compartmental_matrix` on a one-bit codec per
-model.  Minors and :func:`_combine` sums are trimmed lambda-lists, so an
+monomials is one integer addition.  Every determinant here is a minor of
+the packed ``lambda*I - A`` of
+:func:`~compident.graphs.compartmental_matrix` on a one-bit codec per
+model.  An identity check takes its minors from :func:`_minor`;
+:func:`det_sides` expands all equation sides on one memo per input, with
+that input's row on top, so that c and every d share the minors without
+it.  Minors and :func:`_combine` sums are trimmed lambda-lists, so an
 identity is ``==`` on lists.  :func:`io_equation` unpacks the equation
 sides.  The test suite checks the expansion against a fraction-free
 (Bareiss) elimination.
@@ -29,7 +32,7 @@ sides.  The test suite checks the expansion against a fraction-free
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 from .forests import forest_rhs
 from .graphs import LambdaList, compartmental_matrix
@@ -39,8 +42,12 @@ from .poly import Poly, _Codec
 
 def _trimmed(acc: list[dict[int, int]]) -> LambdaList:
     """``acc`` without zero coefficients and empty top entries, so that
-    zero is the empty list and equal polynomials have equal lists."""
-    acc = [{code: v for code, v in d.items() if v} for d in acc]
+    zero is the empty list and equal polynomials have equal lists.  Trims
+    in place: deleting the cancelled terms (about one in seven on dense
+    models) costs less than copying all the others."""
+    for d in acc:
+        for code in [code for code, v in d.items() if not v]:
+            del d[code]
     while acc and not acc[-1]:
         acc.pop()
     return acc
@@ -49,7 +56,8 @@ def _trimmed(acc: list[dict[int, int]]) -> LambdaList:
 def _laplace(rows: list[list[LambdaList]], cols: tuple[int, ...],
              memo: dict[tuple[int, ...], LambdaList]) -> LambdaList:
     """The minor on the last len(cols) rows and the given columns,
-    expanded along its first row and memoized by column set.
+    expanded along its first row and memoized by column set; 1 for no
+    columns.
 
     Entries and minors are trimmed packed lambda-lists (see
     :func:`_trimmed`).  A module-level function and not a closure: a recursive closure
@@ -57,8 +65,8 @@ def _laplace(rows: list[list[LambdaList]], cols: tuple[int, ...],
     the cyclic garbage collector ran.
     """
     n = len(rows)
-    if len(cols) == 1:
-        return rows[n - 1][cols[0]]
+    if len(cols) <= 1:
+        return rows[n - 1][cols[0]] if cols else [{0: 1}]
     cached = memo.get(cols)
     if cached is not None:
         return cached
@@ -96,7 +104,7 @@ def _minor(rows: list[list[LambdaList]], drop_rows: Iterable[int] = (),
     drop_rows, drop_cols = set(drop_rows), set(drop_cols)
     kept = [[e for c, e in enumerate(row, start=1) if c not in drop_cols]
             for r, row in enumerate(rows, start=1) if r not in drop_rows]
-    return _laplace(kept, tuple(range(len(kept))), {}) if kept else [{0: 1}]
+    return _laplace(kept, tuple(range(len(kept))), {})
 
 
 def _combine(terms: Iterable[tuple[int, int, int, LambdaList]]) -> LambdaList:
@@ -142,29 +150,56 @@ def io_equation(m: Model, out: int) -> IoEquation:
         raise ValueError("model has no inputs; no input-output equation")
     codec = _Codec(param_vector(m))
     unpack = codec.unpack
-    lhs = tuple(unpack(c) for c in det_lhs(m, codec))
+    inputs = sorted(m.inputs)
+    cs, ds = det_sides(m, codec, [out], inputs)
     rhs: dict[int, tuple[int, tuple[Poly, ...]]] = {}
-    for j in sorted(m.inputs):
+    for j in inputs:
         sign = -1 if (out + j) % 2 else 1
-        rhs[j] = (sign, tuple(unpack(d) for d in det_rhs(m, out, j, codec)))
-    return IoEquation(out, lhs, rhs)
+        rhs[j] = (sign, tuple(unpack(d) for d in ds[out, j]))
+    return IoEquation(out, tuple(unpack(c) for c in cs), rhs)
 
 
-def det_lhs(m: Model, codec: _Codec) -> LambdaList:
+def _negated(poly: LambdaList) -> LambdaList:
+    return [{code: -v for code, v in d.items()} for d in poly]
+
+
+def det_sides(m: Model, codec: _Codec, outputs: Sequence[int],
+              inputs: Sequence[int]
+              ) -> tuple[LambdaList, dict[tuple[int, int], LambdaList]]:
     """``[c_0, ..., c_n]``, the coefficients of ``det(lambda*I - A)``,
-    packed on ``codec``, a one-bit codec over the model's parameters."""
-    return _minor(compartmental_matrix(m, codec))
-
-
-def det_rhs(m: Model, out: int, inp: int, codec: _Codec) -> LambdaList:
-    """The unsigned ``[d_0, ..., d_{n-1}]`` of one (output, input) pair:
+    and per (output, input) pair the unsigned ``[d_0, ..., d_{n-1}]``:
     ``(-1)^(out+inp)`` times the coefficients of the minor of
-    ``lambda*I - A`` without row ``inp`` and column ``out``, packed on
-    ``codec``."""
-    minor = _minor(compartmental_matrix(m, codec), (inp,), (out,))
-    if (out + inp) % 2:
-        minor = [{code: -v for code, v in d.items()} for d in minor]
-    return minor + [{} for _ in range(m.n - len(minor))]
+    ``lambda*I - A`` without row ``inp`` and column ``out``.  All are
+    packed on ``codec``, a one-bit codec over the model's parameters;
+    ``inputs`` must not be empty.
+
+    Per input, the rows are expanded with row ``inp`` moved to the top,
+    which multiplies the determinant by ``(-1)^(inp-1)``, and the minors
+    one level down are exactly those without row ``inp``.  So for the
+    first input the expansion of c leaves every (inp, out) minor in its
+    memo, or where the (inp, out) entry is zero, the minors one level
+    below it, and every d reads from there.  Each later input expands its
+    minors on a memo of its own.  A memo is dropped before the next one
+    is built, and all are gone on return.
+    """
+    rows = compartmental_matrix(m, codec)
+    n = m.n
+    cols = tuple(range(n))
+    lhs = None
+    rhs = {}
+    for inp in inputs:
+        top = [rows[inp - 1]] + rows[:inp - 1] + rows[inp:]
+        memo: dict[tuple[int, ...], LambdaList] = {}
+        if lhs is None:
+            lhs = _laplace(top, cols, memo)
+            if (inp - 1) % 2:
+                lhs = _negated(lhs)
+        for out in outputs:
+            minor = _laplace(top, cols[:out - 1] + cols[out:], memo)
+            if (out + inp) % 2:
+                minor = _negated(minor)
+            rhs[out, inp] = minor + [{} for _ in range(n - len(minor))]
+    return lhs, rhs
 
 
 class IdentityCheckError(AssertionError):
@@ -212,16 +247,19 @@ def check_minor_forest_signs(m: Model) -> int:
 
     For every (r, q) the coefficients of ``det((lambda*I - A)^{r,q})``
     must equal ``(-1)^(q+r)`` times the pair-restricted forest sums of the
-    graph stripped at q: :func:`det_rhs` of output q and input r equals
-    :func:`~compident.forests.forest_rhs` of the same pair, on one codec.
-    Returns the number of pairs checked.
+    graph stripped at q: the d of output q and input r by
+    :func:`det_sides` equals that of
+    :func:`~compident.forests.forest_rhs`, on one codec.  Returns the
+    number of pairs checked.
     """
     codec = _Codec(param_vector(m))
-    n = m.n
+    every = range(1, m.n + 1)
+    _cs, dets = det_sides(m, codec, every, every)
     count = 0
-    for q in range(1, n + 1):
-        for r in range(1, n + 1):
-            _require(det_rhs(m, q, r, codec) == forest_rhs(m, q, r, codec),
+    for q in every:
+        forests = forest_rhs(m, q, every, codec)
+        for r in every:
+            _require(dets[q, r] == forests[r],
                      f"minor-forest-sign r={r} q={q}")
             count += 1
     return count

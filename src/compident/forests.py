@@ -26,19 +26,22 @@ a packed monomial (see :mod:`compident.poly`) with one bit per edge: the
 sum of the chosen edges' codes.  A finished forest drops its code into
 the ``{code: 1}`` bucket of its size (its bit count).  All sizes come
 from a single pass, so one traversal yields every coefficient of an
-equation side at once.
+equation side at once.  On the right side, a complete forest is tested
+against every input at once, so one traversal per output yields the
+right sides of all its equations.
 
-The core, :func:`forest_buckets`, packs on the caller's codec, so the
-``coeffs`` command keeps both routes' coefficients packed on one codec
-per request, compares them there and renders them from the codes;
-:func:`forest_lhs` and :func:`forest_rhs` give one equation side each.
+The traversal, :func:`forest_buckets` for one pair or none, packs on the
+caller's codec, so the ``coeffs`` command keeps both routes'
+coefficients packed on one codec per request, compares them there and
+renders them from the codes; :func:`forest_lhs` gives the left side and
+:func:`forest_rhs` the right sides of one output.
 :func:`forest_sums_by_size`, :func:`lhs_coefficients` and
 :func:`rhs_coefficients` unpack the same buckets into :class:`Poly`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .graphs import AuxGraph, leak_augmented, strip_outgoing
 from .model import Model, distance, is_strongly_connected, param_vector
@@ -66,20 +69,34 @@ def forest_buckets(g: AuxGraph, codec: _Codec,
     Labels are distinct (AuxGraph checks), so a forest's code has one
     bit per edge and no two forests share a code.
     """
+    if pair is None:
+        return _walk(g, codec, None, [None])[0]
+    return _walk(g, codec, pair[1], [pair[0]])[0]
+
+
+def _walk(g: AuxGraph, codec: _Codec, sink: Optional[int],
+          sources: Sequence[Optional[int]]) -> list[list[dict[int, int]]]:
+    """One traversal of the forests of g: per source, the buckets of
+    :func:`forest_buckets` of the pair (source, sink), or with ``sink``
+    None, of every forest for the one source."""
     nodes = sorted(g.nodes)
     index = {v: k for k, v in enumerate(nodes)}
     steps: dict[int, list[tuple[int, int]]] = {}
     for (src, dst, lab) in g.edges:
         steps.setdefault(index[src], []).append((index[dst], codec.var(lab)))
-    buckets: list[dict[int, int]] = [{} for _ in range(len(nodes) + 1)]
-    _grow(sorted(steps.items()), 0, 0, list(range(len(nodes))),
-          None if pair is None else (index[pair[0]], index[pair[1]]), buckets)
-    return buckets
+    sums = [[{} for _ in range(len(nodes) + 1)] for _ in sources]
+    if sink is None:
+        end, buckets = None, sums[0]
+    else:
+        end, buckets = index[sink], [(index[v], s)
+                                     for v, s in zip(sources, sums)]
+    _grow(sorted(steps.items()), 0, 0, list(range(len(nodes))), end,
+          buckets)
+    return sums
 
 
 def _grow(steps: list[tuple[int, list[tuple[int, int]]]], pos: int,
-          code: int, succ: list[int], pair: Optional[Tuple[int, int]],
-          buckets: list[dict[int, int]]) -> None:
+          code: int, succ: list[int], sink: Optional[int], buckets) -> None:
     """Extend a partial forest by the choice of node ``steps[pos][0]``.
 
     ``steps`` lists, for each node with out-edges in increasing order,
@@ -91,30 +108,34 @@ def _grow(steps: list[tuple[int, list[tuple[int, int]]]], pos: int,
     the nodes below ``src`` have chosen, so the others are sinks: the
     walk along ``succ`` from ``dst`` stops at the first sink or node not
     below ``src``, and the edge is refused when that node is ``src``.
-    A complete forest whose pair, if any, ends at one sink drops its code
-    into the bucket of its size.
+    A complete forest drops its code into the bucket of its size: with
+    ``sink`` None, in ``buckets``, one dict per size; else ``buckets``
+    lists (source, buckets) pairs, and the forest goes to each source
+    whose walk along ``succ`` ends where the sink's does.
     """
     if pos == len(steps):
-        if pair is not None:
-            a, b = pair
+        if sink is None:
+            buckets[code.bit_count()][code] = 1
+            return
+        b = sink
+        while succ[b] != b:
+            b = succ[b]
+        for a, sized in buckets:
             while succ[a] != a:
                 a = succ[a]
-            while succ[b] != b:
-                b = succ[b]
-            if a != b:
-                return
-        buckets[code.bit_count()][code] = 1
+            if a == b:
+                sized[code.bit_count()][code] = 1
         return
     src, edges = steps[pos]
     succ[src] = src
-    _grow(steps, pos + 1, code, succ, pair, buckets)
+    _grow(steps, pos + 1, code, succ, sink, buckets)
     for dst, bit in edges:
         end = dst
         while end < src and succ[end] != end:
             end = succ[end]
         if end != src:
             succ[src] = dst
-            _grow(steps, pos + 1, code + bit, succ, pair, buckets)
+            _grow(steps, pos + 1, code + bit, succ, sink, buckets)
 
 
 def lhs_coefficients(m: Model) -> list[Poly]:
@@ -149,16 +170,19 @@ def rhs_coefficients(m: Model, out: int, inp: int) -> tuple[int, list[Poly]]:
         raise ValueError(f"compartment {inp} is not an input")
     codec = _Codec(param_vector(m))
     sign = -1 if (out + inp) % 2 else 1
-    return sign, [codec.unpack(d) for d in forest_rhs(m, out, inp, codec)]
+    ds = forest_rhs(m, out, [inp], codec)[inp]
+    return sign, [codec.unpack(d) for d in ds]
 
 
-def forest_rhs(m: Model, out: int, inp: int,
-               codec: _Codec) -> list[dict[int, int]]:
-    """The unsigned ``[d_0, ..., d_{n-1}]`` of one (output, input) pair,
-    packed on ``codec``."""
-    sums = forest_buckets(strip_outgoing(m, out), codec, pair=(inp, out))
+def forest_rhs(m: Model, out: int, inputs: Sequence[int],
+               codec: _Codec) -> dict[int, list[dict[int, int]]]:
+    """Per input, the unsigned ``[d_0, ..., d_{n-1}]`` of the pair
+    (output, input), packed on ``codec``, from one traversal of the graph
+    stripped at the output."""
+    sums = _walk(strip_outgoing(m, out), codec, out, inputs)
     n = m.n
-    return [sums[n - k - 1] for k in range(n)]
+    return {inp: [s[n - k - 1] for k in range(n)]
+            for inp, s in zip(inputs, sums)}
 
 
 def nonconstant_sizes(n: int, leaky: bool,

@@ -24,10 +24,15 @@ route can form.  ``_Codec`` packs, unpacks and renders.  With the first
 parameter on top, two monomials of one degree stand in canonical text
 order exactly when their codes stand in descending order, so the text is
 rendered straight from the codes: sort by (degree, code) descending and
-name each factor by its field.  ``Poly.text`` packs and then renders, so
-there is one renderer.  A polynomial in lambda, which stands for the
-differentiation operator d/dt, is a list of such dicts, one per power of
-lambda (a "lambda-list"; see :func:`compident.graphs.compartmental_matrix`).
+name each term chunk by chunk, top chunk first, where a chunk is the
+value of 8 adjacent fields.  A codec names each chunk value it meets
+once, by walking its fields, and keeps the name in a memo that lives as
+long as the codec, so a term costs about ceil(P/8) shift, mask and
+lookup steps.  ``Poly.text`` packs and then renders, so there is one
+renderer for every field width.  A polynomial in lambda, which stands
+for the differentiation operator d/dt, is a list of such dicts, one per
+power of lambda (a "lambda-list"; see
+:func:`compident.graphs.compartmental_matrix`).
 
 ``FieldPoint`` assigns every parameter a nonzero residue modulo a large
 prime; the generic-rank computation evaluates the compartmental matrix at
@@ -216,7 +221,7 @@ class _Codec:
     later one.
     """
 
-    __slots__ = ("params", "width", "_shift", "_names")
+    __slots__ = ("params", "width", "_shift", "_names", "_chunks")
 
     def __init__(self, params: Iterable[Param], bound: int = 1):
         self.params: tuple[Param, ...] = tuple(sorted(set(params)))
@@ -226,6 +231,8 @@ class _Codec:
                        for k, p in enumerate(self.params)}
         # the name of the parameter in each field, lowest field first
         self._names = [param_name(p) for p in reversed(self.params)]
+        # (shift, chunk memo) per chunk, top chunk first; built by text()
+        self._chunks: list[tuple[int, _ChunkNames]] | None = None
 
     def var(self, param: Param) -> int:
         """The code of a single parameter."""
@@ -261,33 +268,42 @@ class _Codec:
     def text(self, packed: Mapping[int, int]) -> str:
         """The canonical text of a packed polynomial (see :meth:`Poly.text`).
 
-        Terms go by degree, then by code, both descending.  A body names
-        its factors by walking the fields from the top down.
+        Terms go by degree, then by code, both descending.  A body is
+        named chunk by chunk, top chunk first: a chunk is the value of
+        :data:`_CHUNK` adjacent fields, and its name, the names of its
+        factors with ``^e`` where e > 1, is looked up in a memo kept with
+        the codec, so a body costs one shift, mask and lookup per chunk.
+        A value is named by walking its fields only the first time the
+        codec meets it; the memo lives as long as the codec does.
         """
         if not packed:
             return "0"
-        names, width = self._names, self.width
+        width = self.width
         order = sorted(packed, reverse=True)
         # stable, so the codes of one degree stay in descending order
         order.sort(key=int.bit_count if width == 1 else self._degree,
                    reverse=True)
+        chunks = self._chunks
+        if chunks is None:
+            fields = self._names
+            chunks = self._chunks = [
+                (low * width, _ChunkNames(fields[low:low + _CHUNK], width))
+                for low in range(0, len(fields), _CHUNK)][::-1]
+        mask = (1 << _CHUNK * width) - 1
         parts = []
         for code in order:
-            factors = []
-            rest = code
-            while rest:
-                f = (rest.bit_length() - 1) // width
-                e = rest >> f * width
-                rest ^= e << f * width
-                factors.append(names[f] if e == 1 else f"{names[f]}^{e}")
+            # each name ends in "*", and a chunk with no factor names ""
+            body = ""
+            for shift, names in chunks:
+                body += names[code >> shift & mask]
             coeff = packed[code]
             mag = abs(coeff)
-            if not factors:
+            if not body:
                 tok = str(mag)
             elif mag == 1:
-                tok = "*".join(factors)
+                tok = body[:-1]
             else:
-                tok = f"{mag}*" + "*".join(factors)
+                tok = f"{mag}*{body[:-1]}"
             parts.append(("- " if coeff < 0 else "+ ") + tok)
         joined = " ".join(parts)
         return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
@@ -299,6 +315,35 @@ class _Codec:
             deg += code & mask
             code >>= self.width
         return deg
+
+
+# fields per chunk of a code, as :meth:`_Codec.text` names it
+_CHUNK = 8
+
+
+class _ChunkNames(dict):
+    """The memo of one chunk of a codec: chunk value -> the names of its
+    factors, top field first, each followed by ``"*"``.  A missing value
+    is named by walking its fields."""
+
+    __slots__ = ("names", "width")
+
+    def __init__(self, names: list[str], width: int):
+        super().__init__({0: ""})
+        self.names = names      # the chunk's field names, lowest first
+        self.width = width
+
+    def __missing__(self, value: int) -> str:
+        names, width = self.names, self.width
+        text = ""
+        rest = value
+        while rest:
+            f = (rest.bit_length() - 1) // width
+            e = rest >> f * width
+            rest ^= e << f * width
+            text += names[f] + "*" if e == 1 else f"{names[f]}^{e}*"
+        self[value] = text
+        return text
 
 
 @dataclass(frozen=True)

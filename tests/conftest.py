@@ -9,6 +9,7 @@ different computations, not against themselves.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import random
@@ -932,16 +933,16 @@ def eval_mod(poly: Poly, point: FieldPoint) -> int:
     return total
 
 
-def dropping_a_term(original, when):
-    """``original`` with the first term of its top nonzero coefficient
-    left out of the result, for the calls that ``when`` picks; for
-    wrapping a function that returns a packed lambda-list."""
+def dropping_a_term(original, pick):
+    """``original`` returning a copy of its result in which each packed
+    lambda-list that ``pick(result, *args, **kwargs)`` lists lacks the
+    first term of its top nonzero coefficient."""
     def patched(*args, **kwargs):
-        coeffs = [dict(d) for d in original(*args, **kwargs)]
-        if when(*args, **kwargs):
+        result = copy.deepcopy(original(*args, **kwargs))
+        for coeffs in pick(result, *args, **kwargs):
             top = next(d for d in reversed(coeffs) if d)
             del top[next(iter(top))]
-        return coeffs
+        return result
     return patched
 
 

@@ -411,6 +411,20 @@ def test_coeffs_json_is_pinned(capsys, fixtures_dir, name, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_coeffs_json_is_pinned_across_two_chunks(capsys):
+    # 15 parameters: every term's name is joined from two chunks of the
+    # codec's fields
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "cycle10_chords.json")
+    code, out, _ = run_cli(capsys, "coeffs", "--method", "both", "--json",
+                           path)
+    assert code == EXIT_OK
+    assert json.loads(out)["params"] == 15
+    assert len(out) == 371_812
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b099793bd7c829a5e95fa20cba4934dedb2b8e2be1447ef671c5a7ec58b8a799"
+
+
 @pytest.mark.parametrize("method", ["det", "forest"])
 def test_coeffs_text_is_pinned(capsys, fixtures_dir, method):
     code, out, _ = run_cli(capsys, "coeffs", "--method", method,
@@ -513,17 +527,19 @@ def test_a_missing_stdout_takes_the_output_nowhere(fixtures_dir, json_flag):
 
 
 def test_coeffs_computes_the_left_side_once(monkeypatch, capsys, several_io):
-    buckets = count_calls(monkeypatch, forests, "forest_buckets")
+    walks = count_calls(monkeypatch, forests, "_walk")
     laplace = count_calls(monkeypatch, determinant, "_laplace")
     code, _, _ = run_cli(capsys, "coeffs", several_io, "--method", "both")
     assert code == EXIT_OK
-    # one recursion for the left side, one per (output, input) pair
+    # one traversal for the left side, one per output for every input
     lhs_graph = leak_augmented(load_model(several_io))
-    assert sum(args[0] == lhs_graph for args in buckets) == 1
-    assert len(buckets) == 1 + 3 * 2
-    # one expansion of det(lambda*I - A), one of each minor
+    assert sum(args[0] == lhs_graph for args in walks) == 1
+    assert len(walks) == 1 + 3
+    # one expansion of det(lambda*I - A), whose memo serves the minors of
+    # input 1; input 3 expands its minors on a memo of its own
     tops = [len(rows) for rows, cols, _memo in laplace if len(rows) == len(cols)]
-    assert sorted(tops) == [3] * 6 + [4]
+    assert tops == [4]
+    assert len({id(memo) for _rows, _cols, memo in laplace}) == 2
 
 
 def test_coeffs_builds_no_poly(monkeypatch, capsys, several_io):
@@ -543,14 +559,19 @@ def test_coeffs_builds_no_poly(monkeypatch, capsys, several_io):
     assert built == []
 
 
-@pytest.mark.parametrize("name,when,bad", [
-    ("det_rhs", lambda m, out, inp, codec: out == 2, 2),
-    ("det_lhs", lambda m, codec: True, 1),
-    ("forest_rhs", lambda m, out, inp, codec: (out, inp) == (4, 3), 4),
+@pytest.mark.parametrize("name,pick,bad", [
+    # the d of output 2, for each input
+    ("det_sides", lambda sides, m, codec, outs, ins:
+     [ds for (out, _inp), ds in sides[1].items() if out == 2], 2),
+    # c
+    ("det_sides", lambda sides, m, codec, outs, ins: [sides[0]], 1),
+    # the forest d of (output 4, input 3)
+    ("forest_rhs", lambda ds, m, out, ins, codec: [ds[3]] if out == 4 else [],
+     4),
 ])
 def test_coeffs_reports_disagreeing_routes(monkeypatch, capsys, several_io,
-                                           name, when, bad):
-    monkeypatch.setattr(cli, name, dropping_a_term(getattr(cli, name), when))
+                                           name, pick, bad):
+    monkeypatch.setattr(cli, name, dropping_a_term(getattr(cli, name), pick))
     code, out, err = run_cli(capsys, "coeffs", several_io, "--method", "both",
                              "--json")
     assert code == EXIT_INTERNAL
@@ -563,8 +584,8 @@ def test_coeffs_reports_disagreeing_routes(monkeypatch, capsys, several_io,
 
 
 def test_selftest_reports_disagreeing_routes(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "det_lhs", dropping_a_term(
-        cli.det_lhs, lambda m, codec: True))
+    monkeypatch.setattr(cli, "det_sides", dropping_a_term(
+        cli.det_sides, lambda sides, m, codec, outs, ins: [sides[0]]))
     code, out, _ = run_cli(capsys, "selftest", "--json")
     assert code == EXIT_INTERNAL
     doc = json.loads(out)
@@ -577,7 +598,8 @@ def test_flip_check_reports_a_dropped_forest(monkeypatch):
     # the flipped multigraph's forests lose one: the selftest's flip
     # check must name the compartment
     monkeypatch.setattr(cli, "forest_buckets", dropping_a_term(
-        cli.forest_buckets, lambda g, codec, pair=None: g.allows_multi_edges))
+        cli.forest_buckets, lambda sums, g, codec, pair=None:
+        [sums] if g.allows_multi_edges else []))
     m = mk(3, [(1, 2), (2, 3), (3, 1)], [1], [1], [2])
     failures = []
     cli._check_flip_equality(m, failures)

@@ -14,8 +14,7 @@ from compident.determinant import (
     check_minor_forest_signs,
     check_minor_identities,
     check_stripped_minor_identity,
-    det_lhs,
-    det_rhs,
+    det_sides,
     io_equation,
 )
 from compident.families import (random_strongly_connected_edges,
@@ -316,10 +315,15 @@ def test_packed_determinants_match_the_oracles_exhaustively():
                         m = mk(n, edges, [inp], [out], leaks)
                         codec = _Codec(param_vector(m))
                         unpack = codec.unpack
-                        assert [unpack(c) for c in det_lhs(m, codec)] == char
-                        for (r, q), want in signed.items():
-                            assert [unpack(d) for d in det_rhs(m, q, r, codec)] \
-                                == want, (m, r, q)
+                        # each input alone, with its row on top of the
+                        # expansion of c, and all of them on one call
+                        every = range(1, n + 1)
+                        for ins in [[r] for r in every] + [every]:
+                            cs, ds = det_sides(m, codec, every, ins)
+                            assert [unpack(c) for c in cs] == char
+                            for (q, r), d in ds.items():
+                                assert [unpack(e) for e in d] \
+                                    == signed[r, q], (m, r, q)
                         models += 1
                         if leaf is None:
                             continue
@@ -334,7 +338,8 @@ def test_packed_determinants_match_the_oracles_exhaustively():
 
 def test_minor_forest_signs_catches_a_dropped_forest(monkeypatch):
     monkeypatch.setattr(determinant, "forest_rhs", dropping_a_term(
-        determinant.forest_rhs, lambda m, out, inp, codec: (out, inp) == (2, 3)))
+        determinant.forest_rhs,
+        lambda ds, m, out, inputs, codec: [ds[3]] if out == 2 else []))
     with pytest.raises(IdentityCheckError, match="minor-forest-sign r=3 q=2"):
         check_minor_forest_signs(FIG1)
 
@@ -358,8 +363,8 @@ def test_stripped_minor_identity_catches_a_flipped_minor(monkeypatch):
 
 def test_stripped_minor_identity_catches_a_dropped_term(monkeypatch):
     monkeypatch.setattr(determinant, "_minor", dropping_a_term(
-        determinant._minor,
-        lambda rows, drop_rows=(), drop_cols=(): drop_rows == (3,)))
+        determinant._minor, lambda det, rows, drop_rows=(), drop_cols=():
+        [det] if drop_rows == (3,) else []))
     with pytest.raises(IdentityCheckError, match="stripped-minor i=3 j=2"):
         check_stripped_minor_identity(FIG1)
 

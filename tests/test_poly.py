@@ -200,6 +200,38 @@ def test_codec_text_renders_a_packed_dict():
     assert codec.text({}) == "0" and codec.text({0: 1}) == "1"
 
 
+def test_codec_text_reuses_chunk_names_across_polynomials():
+    # 33 parameters with two-digit indices fill five chunks of fields;
+    # many polynomials on one codec per width name their chunks from one
+    # memo, in sparse and dense terms, constants, zero and coefficients
+    # of either sign beyond 2**64
+    rng = random.Random(24)
+    params = sorted({(i, j) for i in range(0, 13) for j in range(1, 13)
+                     if i != j and (i >= 10 or j >= 10)})[:33]
+    assert len(params) == 33 and (1, 12) in params
+    for bound in (1, 3, 7):
+        codec = _Codec(params, bound)
+        assert codec.width == bound.bit_length()
+        texts = []
+        for _ in range(40):
+            packed = {}
+            for _ in range(rng.randrange(0, 25)):
+                used = rng.sample(params, rng.choice([1, 2, 5, 12, 33]))
+                mono = tuple(sorted((p, rng.randrange(1, bound + 1))
+                                    for p in used))
+                packed[codec.code(mono)] = rng.choice(
+                    [1, -1, 2, -3, 2 ** 65 + 3, -(2 ** 70)])
+            packed[0] = rng.choice([0, 5, -1, 2 ** 66])
+            packed = {code: v for code, v in packed.items() if v}
+            want = reference_text(codec.unpack(packed))
+            assert codec.text(packed) == want
+            texts.append((packed, want))
+        for packed, want in texts:      # every chunk value named already
+            assert codec.text(packed) == want
+        assert codec.text({}) == "0" and codec.text({0: -4}) == "-4"
+        assert "a1_12" in "".join(want for _p, want in texts)
+
+
 def test_text_matches_reference_renderer_on_fixture_equations():
     for m in reference_models().values():
         for out in sorted(m.outputs):
