@@ -9,11 +9,11 @@ reaches min(parameter count, coefficient count).
 Every coefficient is a coefficient of the characteristic polynomial
 ``c = det(lambda*I - A)`` or of ``d = adj(lambda*I - A)[out][in]`` for
 an (output, input) pair, and the Jacobian's rank at a point is read off
-plain powers of A there, with no polynomial expanded.  By Newton's
-identities the c_k and the power sums tr(A^m), m = 1..n, are triangular
-functions of each other with diagonal m, so at any point their partials
-span the same rows, the left rows L.  The transfer function d/c is the
-sum of the Markov parameters h_t = e_out A^t e_in over lambda^(t+1), so
+powers of A there, with no polynomial expanded.  By Newton's identities
+the c_k and the power sums tr(A^m), m = 1..n, are triangular functions of
+each other with diagonal m, so at any point their partials span the same
+rows, the left rows L.  The transfer function d/c is the sum of the
+Markov parameters h_t = e_out A^t e_in over lambda^(t+1), so
 ``d_(n-1-s) = h_s + sum_(t<s) c_(n-s+t) h_t``: modulo the span of L the
 partials of a pair's d_k span what those of h_1..h_(n-1) span (h_0, the
 h_t below the input-output distance and the d_k the layout leaves out
@@ -24,17 +24,24 @@ column ``in`` of A^r, ``d tr(A^(r+1))/da_ij = -(r+1) ((A^r)_jj -
 each parameter's rows drop the same sign, and a left row its factor,
 which keeps every rank.  With K a kernel basis of L, the rank is rank(L)
 + rank(H K) for the Markov rows H of a map's pairs: L is reduced and K
-found once per trial, and each map ranks only its own H K, which has one
-row per Markov parameter and one column per kernel vector, and which is
+found once per trial, and each map ranks only its own H K, through its
+transpose: one row per kernel vector and one slot per Markov parameter,
 formed by combining the convolutions, packed into single integers, with
 the entries of K before any coefficient is read.  No Markov row is
-reduced against L.  A trial of one map costs O(n^4 + k n^2) residue
-operations for k parameters.  The point, the powers A^0..A^(n-1), L and
-K depend on the graph and the leaks alone, not on where inputs and
-outputs sit, so :func:`generic_ranks` evaluates them once per trial for
-a group of maps that differ only in placement; each power is read as it
-is formed (its diagonal, one entry per parameter, row ``out`` per output
-and column ``in`` per input) and then dropped.  Which coefficients are
+reduced against L.
+
+A point reads all of this off M_r = A^r M_0, r = 0..n-1, for the start
+matrix M_0 = [E | e_in ...] with one column per parameter and one per
+input: the column of a_ij is e_j - e_i, of a leak a_0j e_j, and of an
+input e_in.  Column a_ij of M_r is A^r (e_j - e_i), so its entry j is
+``(A^r)_jj - (A^r)_ji`` and its entry ``out`` is ``u_r[j] - u_r[i]``,
+and entry j of column e_in is v_r[j].  Left row r is thus row j of M_r
+masked to the parameters leaving j, summed over j; a map's U is row
+``out`` and its V the input's column.  The point, the M_r, L and K
+depend on the graph and the leaks alone (with one column per input), not
+on where inputs and outputs sit, so :func:`generic_ranks` evaluates them
+once per trial for a group of maps that differ only in placement; each
+M_r is read as it is formed and then dropped.  Which coefficients are
 non-constant has a closed form for strongly connected models
 (:func:`~compident.forests.nonconstant_sizes`), read by
 :func:`coefficient_maps` once per graph for every leak set on it.  No
@@ -45,16 +52,22 @@ The arithmetic mod p runs on whole rows at once (:class:`_Lanes`): a row
 of residues is packed into one integer, entry i in the s-bit slot at bit
 s*i, so a row of A M is the sum of a M_j over the nonzeros a of a row of
 A, and a step of the elimination is ``pv r + (p - f) b``, each a handful
-of big-integer operations instead of one operation per entry.  One
-reduction then brings every slot back into [0, p) by folding with
-2^k = delta (mod p), k = bits(p) and delta = 2^k - p (the primes are
-2^61 - 1, 2^61 - 31 and 2^61 - 45), and one slot-wise conditional
-subtraction.  The fold stays inside a slot when bits(delta) < k, which
-holds for every odd prime; a slot must hold what it sums before the
-reduction, so a matrix product needs s >= 2k + bits(row nonzeros) and
-a row step of the elimination s >= 2k + 1.  The n - 1 sparse matrix
-products mod p then take O(n (n + e)) big-integer operations for e edges
-and the elimination of L O(n min(n, k)), on rows of n or k slots.
+of big-integer operations instead of one operation per entry.  A fold
+brings every slot closer to its residue at once, by 2^k = delta (mod p)
+for k = bits(p) and delta = 2^k - p (the primes are 2^61 - 1, 2^61 - 31
+and 2^61 - 45), and stays inside the slot when bits(delta) < k, which
+holds for every odd prime.  Between steps the slots are only
+semi-reduced, folded into [0, 2^(k+1)) with no subtraction of p: two
+folds per row of a matrix product, which then needs s >= 2k + bits(row
+nonzeros) + 1, and as many as it takes per step of the elimination,
+which reads one entry mod p and needs s >= 2k + 2.  A row is fully
+reduced mod p only where its entries are read: a row of the elimination
+once, after its last step, where its pivot is read, and a row of H K
+once, when it is formed.  A trial of a group with k parameters and i
+inputs then takes O(n (n + e)) big-integer operations on rows of k + i
+slots for the n - 1 sparse matrix products with e edges and O(n min(n,
+k)) on rows of k slots for the elimination of L, and each map one
+product of packed polynomials per parameter and one per nonzero of K.
 
 Rank at a generic point is computed by evaluating the Jacobian at random
 points over large prime fields.  Rank at any concrete point is a lower
@@ -280,12 +293,21 @@ class _Lanes:
     way, until no slot has bits above k, stays inside the slot when
     bits(delta) < k and s > k, which holds for every odd prime.  One
     slot-wise conditional subtraction of p then finishes: x + delta
-    carries into bit k exactly when x >= p.  Everything is exact integer
-    arithmetic.
+    carries into bit k exactly when x >= p.  A row whose slots are only
+    folded below 2^(k+1) is semi-reduced: congruent slot by slot to its
+    residues, and what the sparse products (:func:`_powers`) and the
+    elimination (:func:`_echelon`) keep between their steps.  Folding
+    while any slot reaches 2^(k+1) gets there for every odd prime: a fold
+    lowers every such slot and keeps the others below 2^k + delta.  Two
+    folds alone leave every slot
+    below 2^k + 2^(s-2k) delta^2 + delta, which is below 2^(k+1) when s -
+    2k + 2 bits(delta) < k; for the primes of
+    :data:`~compident.poly.PRIMES` (bits(delta) <= 6) that holds for s up
+    to 3k - 13.  Everything is exact integer arithmetic.
     """
 
     __slots__ = ("p", "s", "width", "mask", "_k", "_delta", "_ones",
-                 "_low", "_fold", "_high", "_deltas")
+                 "_low", "_fold", "_high", "_top", "_deltas")
 
     def __init__(self, p: int, s: int, width: int):
         k = p.bit_length()
@@ -294,7 +316,8 @@ class _Lanes:
         self._k, self._delta, self._ones = k, (1 << k) - p, ones
         self._low = ones * ((1 << k) - 1)          # bits 0..k-1 of each slot
         self._fold = ones * ((1 << s - k) - 1)     # bits k..s-1, shifted down
-        self._high = self._fold << k
+        self._high = self._fold << k               # bits k..s-1
+        self._top = self._high ^ ones << k         # bits k+1..s-1
         self._deltas = ones * self._delta
 
     def reduce(self, x: int) -> int:
@@ -305,56 +328,69 @@ class _Lanes:
             x = (x & low) + (x >> k & fold) * delta
         return x - ((x + self._deltas) >> k & self._ones) * self.p
 
-    def unpack(self, x: int) -> list[int]:
-        """The entries of the row x, slot by slot."""
-        s, mask = self.s, self.mask
-        return [x >> s * i & mask for i in range(self.width)]
 
-
-def _powers(a_rows: list[list[tuple[int, int]]], lanes: _Lanes):
-    """A^0, A^1, A^2, ... mod p, each as its rows packed on ``lanes``
-    (entry j in slot j), formed one at a time as they are asked for.
+def _powers(a_rows: list[list[tuple[int, int]]], start: list[int],
+            lanes: _Lanes):
+    """A^0 M, A^1 M, A^2 M, ... for the start matrix M, each as its rows
+    packed on ``lanes``, formed one at a time as they are asked for.
 
     ``a_rows[i]`` lists the nonzero ``(j, A[i][j])`` of row i (0-based),
-    each a residue mod p.  A step is one sparse matrix product: row i of
+    each a residue mod p, and ``start[i]`` is row i of M, each slot below
+    2^(k+1) for k = bits(p).  A step is one sparse matrix product: row i of
     A M is the sum of a M_j over the nonzeros of row i, one
-    multiplication and one addition each, and is reduced once.  A slot
-    then sums at most (row nonzeros) products of two residues, so
-    s = 2 bits(p) + bits(row nonzeros) + 1 keeps the slots apart.
+    multiplication and one addition each.  The slots are then only
+    semi-reduced, by two folds and no subtraction of p (:class:`_Lanes`):
+    each ends below 2^(k+1), congruent mod p to its entry.  A slot sums at
+    most (row nonzeros) products of a residue and such a value, so s =
+    2 bits(p) + bits(row nonzeros) + 1 keeps the slots apart.
     """
-    power = [1 << lanes.s * i for i in range(len(a_rows))]
+    k, low, fold, delta = lanes._k, lanes._low, lanes._fold, lanes._delta
+    power = start
     while True:
         yield power
-        power = [lanes.reduce(sum(a * power[j] for j, a in row))
-                 for row in a_rows]
+        rows = []
+        for row in a_rows:
+            x = 0
+            for j, a in row:
+                x += a * power[j]
+            x = (x & low) + (x >> k & fold) * delta
+            rows.append((x & low) + (x >> k & fold) * delta)
+        power = rows
 
 
 class _Point:
     """What one point gives every map on its graph and leaks, mod its
     prime, and the Markov rows it makes.
 
-    The powers A^0..A^(n-1) (:func:`_powers`) are read as they are
-    formed and then dropped.  ``cols`` gives per parameter ``a_ij`` the
-    0-based ``(i, j)``, with i None for a leak ``a_0j``.  The left row of
-    power r holds per parameter ``(A^r)_jj - (A^r)_ji`` (``(A^r)_jj`` for
-    a leak), the partial of tr(A^(r+1)) up to the factor -(r+1).  These n
-    rows, packed one slot per parameter, are reduced once: ``rank`` is
-    their rank and ``kernel`` a basis of their kernel, which multiplies
-    every Markov row (:meth:`rows`).  ``lanes`` packs a row of H K, one
-    slot per kernel vector, with s = 2 bits(p) + 1: a row step of the
-    elimination sums two products of residues.  None of this depends on
-    where the inputs and outputs sit.
+    :func:`_powers` forms M_r = A^r M_0 for r = 0..n-1 from the start
+    matrix M_0 = [E | e_in ...], each read as it is formed and then
+    dropped.  ``cols`` gives per parameter ``a_ij`` the 0-based ``(i,
+    j)``, with i None for a leak ``a_0j``; E has one slot per parameter,
+    in that order, holding its column e_j - e_i (e_j for a leak), and
+    each input in ``ins`` adds one more slot, in ascending order, holding
+    e_in.  The rows of the M_r are semi-reduced (:class:`_Lanes`), and
+    so is all that is read off them.  Left row r is ``sum_j (M_r[j] &
+    S_j)``, with S_j the mask of the slots of the parameters leaving j:
+    per parameter ``(A^r)_jj - (A^r)_ji`` (``(A^r)_jj`` for a leak), the
+    partial of tr(A^(r+1)) up to the factor -(r+1).  These n rows are
+    eliminated once (:func:`_kernel`): ``rank`` is their rank and
+    ``kernel`` a basis of their kernel, which multiplies every Markov row
+    (:meth:`rows`).  None of this depends on where the inputs and outputs
+    sit.
 
-    Of each power r < n - 1, row ``out`` is kept per output in ``outs``
-    and column ``in`` per input in ``ins`` (1-based), as polynomials in
-    r packed into one integer, coefficient r at bit s*r: per output and
-    parameter U = ``sum_r (u_r[j] - u_r[i]) x^r`` (u_r[j] alone for a
-    leak), per input and compartment j V = ``sum_r v_r[j] x^r``.  The
-    product U V of a parameter's two packings holds in slot t its partial
-    of h_(t+1), up to the sign.  A kernel vector combines the products
-    of all P parameters before any slot is read, so a slot sums at most
-    n*P products of three residues below p (a u, a v and a kernel entry),
-    and s = 3*bits(p) + bits(n*P) keeps the slots apart.
+    Of each M_r with r < n - 1, row ``out`` is kept per output in
+    ``outs`` and the input's slot of every row per input in ``ins``
+    (1-based), as polynomials in r packed into one integer, coefficient r
+    at bit s*r: per output and parameter, U = ``sum_r (u_r[j] - u_r[i])
+    x^r`` (u_r[j] alone for a leak) is its slot of row ``out``; per input
+    and compartment j, V = ``sum_r v_r[j] x^r`` is the input's slot of row
+    j.  The product U V of a parameter's two packings holds in slot t its
+    partial of h_(t+1), up to the sign.  A kernel vector combines the
+    products of all P parameters before any slot is read, so a slot sums
+    at most n*P products of two semi-reduced values (a u and a v) and a
+    residue (a kernel entry), and s = 3 bits(p) + 2 + bits(n*P) keeps the
+    slots apart.  ``lanes`` packs a row of (H K)^T on the same slots, one
+    per Markov parameter: s >= 2 bits(p) + 2, as the elimination needs.
     """
 
     def __init__(self, n: int, params: Sequence[Param], point: FieldPoint,
@@ -370,81 +406,124 @@ class _Point:
         for j in range(n):
             a_rows[j].append((j, diag[j] % p))
         s = 2 * p.bit_length() + max(map(len, a_rows)).bit_length() + 1
-        lanes = _Lanes(p, s, n)
+        width = len(params)
+        ins = sorted(ins)
+        lanes = _Lanes(p, s, width + len(ins))
         mask = lanes.mask
         self.p, self.n = p, n
         self.cols = cols = [(i - 1 if i else None, j - 1) for (i, j) in params]
-        width = 2 * p.bit_length() + 1
+        # M_0 = [E | e_in ...], and per compartment j the mask S_j of the
+        # slots of the parameters leaving j
+        start = [0] * n
+        leaving = [0] * n
+        for c, (i, j) in enumerate(cols):
+            start[j] += 1 << s * c
+            leaving[j] += mask << s * c
+            if i is not None:
+                start[i] += (p - 1) << s * c
+        for c, inp in enumerate(ins, width):
+            start[inp - 1] += 1 << s * c
         left = []
-        # per output, entry j of row out of each power; per input, entry
-        # j of column in; powers 0..n-2, by ascending power
-        row_out = {out: [[] for _ in range(n)] for out in outs}
+        # per output, row out of each M_r; per input and compartment j, its
+        # slot of row j; r = 0..n-2, ascending; all semi-reduced
+        row_out: dict[int, list[int]] = {out: [] for out in outs}
         col_in = {inp: [[] for _ in range(n)] for inp in ins}
-        for r, power in enumerate(itertools.islice(_powers(a_rows, lanes), n)):
-            dd = [power[j] >> s * j & mask for j in range(n)]
-            left.append(_pack([dd[j] if i is None else
-                               (dd[j] - (power[j] >> s * i & mask)) % p
-                               for (i, j) in cols], width))
+        powers = _powers(a_rows, start, lanes)
+        for r, power in enumerate(itertools.islice(powers, n)):
+            left.append(sum(map(int.__and__, power, leaving)))
             if r < n - 1:
                 for out, u in row_out.items():
-                    for uj, x in zip(u, lanes.unpack(power[out - 1])):
-                        uj.append(x)
-                for inp, v in col_in.items():
-                    shift = s * (inp - 1)
+                    u.append(power[out - 1])
+                for c, v in enumerate(col_in.values(), width):
+                    shift = s * c
                     for vj, x in zip(v, power):
                         vj.append(x >> shift & mask)
-        self.rank, self.kernel = _kernel(left, _Lanes(p, width, len(cols)))
-        self.lanes = _Lanes(p, width, len(self.kernel))
-        self._slot = slot = 3 * p.bit_length() + (n * len(cols)).bit_length()
-        self._u = {out: [_pack(u[j] if i is None else
-                               [(a - b) % p for a, b in zip(u[j], u[i])], slot)
-                         for (i, j) in cols]
+        self.rank, self.kernel = _kernel(left, _Lanes(p, s, width))
+        slot = 3 * p.bit_length() + 2 + (n * width).bit_length()
+        self.lanes = _Lanes(p, slot, n - 1)
+        self._u = {out: [_pack([x >> s * c & mask for x in u], slot)
+                         for c in range(width)]
                    for out, u in row_out.items()}
         self._v = {inp: [_pack(vj, slot) for vj in v]
                    for inp, v in col_in.items()}
 
     def rows(self, out: int, inp: int) -> list[int]:
-        """The rows of the Markov parameters h_1..h_(n-1) of the pair
-        (1-based) times the kernel basis, packed on ``lanes``: per Markov
-        parameter, one slot per kernel vector.  Modulo the left span a row
-        x is known by x K, so an entry is slot t of ``sum_ij K_ij U V``
-        for one kernel vector K.
+        """The Markov rows h_1..h_(n-1) of the pair (1-based) times the
+        kernel basis, transposed and packed on ``lanes``: per kernel
+        vector K, one row with slot t holding row h_(t+1) times K.  Modulo
+        the left span a row x is known by x K, so that row is the first n
+        - 1 slots of ``sum_ij K_ij U V``, reduced at once.
         """
-        p, s, width = self.p, self._slot, self.lanes.s
-        mask = (1 << s) - 1
-        vs = self._v[inp]
+        vs, lanes = self._v[inp], self.lanes
         products = [vs[j] * u for u, (_i, j) in zip(self._u[out], self.cols)]
-        sums = [sum(map(mul, vec.values(), map(products.__getitem__, vec)))
+        first = (1 << lanes.s * lanes.width) - 1
+        return [lanes.reduce(first & sum(map(mul, vec.values(),
+                                             map(products.__getitem__, vec))))
                 for vec in self.kernel]
-        return [_pack([(x >> s * t & mask) % p for x in sums], width)
-                for t in range(self.n - 1)]
+
+    def markov_rank(self, outs: Iterable[int], ins: Iterable[int]) -> int:
+        """rank(H K) for the Markov rows H of every (output, input) pair
+        (1-based): the rank of its transpose, whose row for a kernel
+        vector holds each pair's :meth:`rows` side by side."""
+        if not self.kernel:         # the left rows have full rank
+            return 0
+        blocks = [self.rows(out, inp) for out in outs for inp in ins]
+        lanes = self.lanes
+        if len(blocks) == 1:
+            return len(_echelon(blocks[0], lanes))
+        shift = lanes.s * lanes.width
+        lanes = _Lanes(self.p, lanes.s, lanes.width * len(blocks))
+        return len(_echelon([sum(x << shift * q for q, x in enumerate(xs))
+                             for xs in zip(*blocks)], lanes))
 
 
 def _echelon(rows: Sequence[int],
              lanes: _Lanes) -> list[tuple[int, int, int]]:
     """An echelon basis of packed rows over the prime field.
 
-    Entries lie in [0, p), in the slots of ``lanes``, whose width must be
-    at least 2 bits(p) + 1.  Returns ``(pivot column, pivot, row)``
-    triples in insertion order; each row is zero at the pivot columns of
-    the rows before it, so one pass reduces a new row at every pivot.  A
-    row is scaled by the pivot instead of divided by it, so no modular
-    inverse is needed: a step is ``pv r + (p - f) b``, two products of
-    residues per slot, then one reduction of every slot.  The pivot
-    column of a row is its lowest nonzero slot.  The rank of the rows is
-    the basis length.
+    Entries are semi-reduced, below 2^(k+1) for k = bits(p), in the slots
+    of ``lanes``, whose width must be at least 2k + 2.  Returns ``(pivot
+    column, pivot, row)`` triples in insertion order, each row reduced;
+    each row is zero at the pivot columns of the rows before it, so one
+    pass reduces a new row at every pivot.  A row is scaled by the pivot
+    instead of divided by it, so no modular inverse is needed: a step is
+    ``pv r + (p - f) b`` for the entry f of r at b's pivot, read mod p,
+    which stays below 2^(2k+2).  Between steps the slots are folded only
+    until they are semi-reduced again (:class:`_Lanes`); a row is fully
+    reduced once, after its last step, where its pivot column, its lowest
+    nonzero slot, is read.  The rank of the rows is the basis length.
     """
     p, s, mask, reduce = lanes.p, lanes.s, lanes.mask, lanes.reduce
+    k, low, fold, top, delta = (lanes._k, lanes._low, lanes._fold,
+                                lanes._top, lanes._delta)
     basis: list[tuple[int, int, int]] = []
     for r in rows:
         for c, pv, b in basis:
-            f = r >> s * c & mask
+            f = (r >> s * c & mask) % p
             if f:
-                r = reduce(pv * r + (p - f) * b)
+                r = pv * r + (p - f) * b
+                while r & top:
+                    r = (r & low) + (r >> k & fold) * delta
+        r = reduce(r)
         if r:
             c = ((r & -r).bit_length() - 1) // s
             basis.append((c, r >> s * c & mask, r))
     return basis
+
+
+def _inverses(values: Sequence[int], p: int) -> list[int]:
+    """The inverses mod p of nonzero residues, from one modular inverse
+    of their product: the inverse of value i is the inverse of the
+    product of values 0..i times the product of values 0..i-1."""
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % p)
+    inverse = pow(prefix[-1], -1, p)
+    inverses = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        inverses[i] = inverse * prefix[i] % p
+        inverse = inverse * values[i] % p
+    return inverses
 
 
 def _kernel(rows: Sequence[int],
@@ -452,24 +531,36 @@ def _kernel(rows: Sequence[int],
     """The rank of packed rows over the prime field and a basis of their
     kernel, with one slot per column (:func:`_echelon`).
 
-    Each echelon row is scaled to pivot 1, one inverse per pivot, and the
-    rows are reduced upwards, ``r + (p - f) b``, until every row is zero
-    at the other rows' pivots.  The vector for a free column f then has 1
-    at f, ``p - row_i[f]`` at each row's pivot and 0 elsewhere.  Returns
-    the rank and one such vector per free column, in ascending order,
-    each as a dict from column to its nonzero entry: a vector has at most
-    rank + 1 of them, however wide the rows.
+    Each echelon row is scaled to pivot 1, with the pivots' inverses from
+    one modular inverse (:func:`_inverses`), and the rows are reduced
+    upwards, ``r + (p - f) b``, until every row is zero at the other
+    rows' pivots; as in :func:`_echelon`, a step keeps its slots only
+    semi-reduced, and each row is fully reduced once, at the end.  A step
+    reads f at the pivot of a lower row; the rows below that one are zero
+    there, so the earlier steps, which added multiples of them, have left
+    f as the scaling reduced it, a residue.  The vector for a free column
+    f then has 1 at f, ``p - row_i[f]`` at each row's pivot and 0
+    elsewhere.  Returns the rank and one such vector per free column, in
+    ascending order, each as a dict from column to its nonzero entry: a
+    vector has at most rank + 1 of them, however wide the rows.
     """
     p, s, mask, reduce = lanes.p, lanes.s, lanes.mask, lanes.reduce
-    basis = [(c, reduce(pow(pv, -1, p) * b))
-             for c, pv, b in _echelon(rows, lanes)]
-    for k in range(len(basis) - 1, 0, -1):
-        c, b = basis[k]
-        for i in range(k):
-            ci, bi = basis[i]
-            f = bi >> s * c & mask
+    k, low, fold, top, delta = (lanes._k, lanes._low, lanes._fold,
+                                lanes._top, lanes._delta)
+    echelon = _echelon(rows, lanes)
+    basis = [(c, reduce(inverse * b)) for (c, _pv, b), inverse in
+             zip(echelon, _inverses([pv for _c, pv, _b in echelon], p))]
+    for last in range(len(basis) - 1, 0, -1):
+        c, b = basis[last]
+        for i in range(last):
+            ci, r = basis[i]
+            f = r >> s * c & mask
             if f:
-                basis[i] = (ci, reduce(bi + (p - f) * b))
+                r += (p - f) * b
+                while r & top:
+                    r = (r & low) + (r >> k & fold) * delta
+                basis[i] = (ci, r)
+    basis = [(c, reduce(b)) for c, b in basis]
     pivot_cols = {c for c, _b in basis}
     kernel = []
     for f in range(lanes.width):
@@ -539,11 +630,7 @@ def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
                     {out for m in models for out in m.outputs},
                     {inp for m in models for inp in m.inputs})
         for k, m in zip(live, models):
-            r = at.rank
-            if at.kernel:           # else the left rows have full rank
-                r += len(_echelon([row for out in m.outputs
-                                   for inp in m.inputs
-                                   for row in at.rows(out, inp)], at.lanes))
+            r = at.rank + at.markov_rank(m.outputs, m.inputs)
             logs[k].append(TrialResult(prime, trial_seed, r))
             best[k] = max(best[k], r)
     return [RankReport(best[k], tuple(logs[k]), cm.p, cm.m)

@@ -153,6 +153,23 @@ def test_analyze_json_is_pinned_beyond_the_fixtures(capsys, tmp_path, build,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_analyze_json_is_pinned_at_60_compartments(capsys):
+    # the one-way 60-cycle with the chord 1 -> 30, input and output 1 and
+    # leaks 1 and 30: rank 62 of 63 parameters at every trial; the digest
+    # of the output before the rank points ran on A^r M_0
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "cycle60_two_leaks.json")
+    code, out, _ = run_cli(capsys, "analyze", "--json", path)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["method"]) == ("unidentifiable",
+                                               "jacobian_rank")
+    assert (doc["rank"], doc["params"], doc["coeffs"]) == (62, 63, 119)
+    assert [t["rank"] for t in doc["trials"]] == [62, 62, 62]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f5f70f9b4b67ee99f8c52ab60d02323f4704ee4df11ba75977e14dfc7b7f41ba"
+
+
 def test_analyze_malformed_model(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"compartments": 2, "edges": [], "in": [], "out": []}')
@@ -841,11 +858,13 @@ def test_sweep_trees_forms_the_powers_once_per_tree_and_leak_set(
         monkeypatch, capsys):
     # 22 (class representative, leak set orbit) groups for n <= 4: 2 + 3
     # + 5, then 5 for the star and 7 for the path, against 3,023 models;
-    # every tree map reaches min(p, m) at its first trial
+    # every tree map reaches min(p, m) at its first trial, so each group
+    # runs one recurrence A^r M_0, each from its own start matrix M_0
     calls = count_calls(monkeypatch, identify, "_powers")
     code, out, _ = run_cli(capsys, "sweep-trees", "--max-n", "4", "--json")
     assert code == EXIT_OK and json.loads(out)["models"] == 3023
     assert len(calls) == 22
+    assert len({tuple(start) for _a_rows, start, _lanes in calls}) == 22
 
 
 def test_sweep_trees_lays_out_each_group_once(monkeypatch, capsys):

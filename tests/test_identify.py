@@ -187,6 +187,11 @@ def test_jacobian_fast_path_with_higher_exponents():
 
 # -- adjugate route against the symbolic oracle ---------------------------------
 
+def _unpack(lanes, x):
+    """The entries of the row x packed on lanes, slot by slot."""
+    return [x >> lanes.s * i & lanes.mask for i in range(lanes.width)]
+
+
 def _assert_matches_oracle(m, seed=DEFAULT_SEED):
     """The oracle's map, laid out from the expanded coefficients: equal to
     coefficient_map(m) for a strongly connected model, and refused by
@@ -195,7 +200,8 @@ def _assert_matches_oracle(m, seed=DEFAULT_SEED):
     the rank of the oracle's left-side rows, and for each (output, input)
     pair its Markov rows times the kernel basis adding what the pair's
     oracle rows add to them: rank(left) + rank(rows) = rank(left +
-    oracle); and generic_rank's per-trial ranks equal to the oracle's."""
+    oracle), and likewise for all pairs at once; and generic_rank's
+    per-trial ranks equal to the oracle's."""
     cm = symbolic_map(m)
     if closure_strongly_connected(m.n, m.edges):
         assert coefficient_map(m) == cm, model_to_dict(m)
@@ -215,11 +221,14 @@ def _assert_matches_oracle(m, seed=DEFAULT_SEED):
         at = _Point(m.n, cm.params, point, m.outputs, m.inputs)
         assert at.rank == rank_mod(left, prime), (model_to_dict(m), t)
         for out, inp in itertools.product(m.outputs, m.inputs):
-            got = [at.lanes.unpack(row) for row in at.rows(out, inp)]
-            assert len(got) == m.n - 1
+            got = [_unpack(at.lanes, row) for row in at.rows(out, inp)]
+            assert len(got) == len(at.kernel)
+            assert at.markov_rank([out], [inp]) == rank_mod(got, prime)
             assert at.rank + rank_mod(got, prime) == rank_mod(
                 left + pairs.get((out, inp), []), prime), \
                 (model_to_dict(m), t, out, inp)
+        assert at.rank + at.markov_rank(m.outputs, m.inputs) == rank_mod(
+            left + [row for rows in pairs.values() for row in rows], prime)
         oracle_ranks.append(rank_mod(oracle, prime))
     trials = generic_rank(cm, trials=len(PRIMES), seed=seed).trials
     assert [t.rank for t in trials] == oracle_ranks[:len(trials)]
@@ -280,37 +289,61 @@ def test_adjugate_route_matches_oracle_random():
 
 
 def _point_with_its_powers(n, params, point, places):
-    """The point of the (input, output) places, with the lanes of its
-    powers and every power it formed, unpacked."""
+    """The point of the (input, output) places, with the start matrix and
+    the lanes of its recurrence, and every A^r M_0 it formed, unpacked."""
     formed = []
 
-    def spy(a_rows, lanes):
-        formed.append(lanes)
-        for power in _powers(a_rows, lanes):
-            formed.append([lanes.unpack(row) for row in power])
+    def spy(a_rows, start, lanes):
+        formed.append((start, lanes))
+        for power in _powers(a_rows, start, lanes):
+            formed.append([_unpack(lanes, row) for row in power])
             yield power
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(identify, "_powers", spy)
         at = _Point(n, params, point, {out for _inp, out in places},
                     {inp for inp, _out in places})
-    return at, formed[0], formed[1:]
+    (start, lanes), *powers = formed
+    return at, start, lanes, powers
+
+
+def _start_matrix(n, params, ins, p):
+    """M_0 = [E | e_in ...] as dense lists: the column of a_ij is e_j - e_i
+    mod p (e_j for a leak), then one column e_in per input, ascending."""
+    cols = [[0] * n for _ in range(len(params) + len(ins))]
+    for col, (i, j) in zip(cols, params):
+        col[j - 1] = 1
+        if i:
+            col[i - 1] = p - 1
+    for col, inp in zip(cols[len(params):], sorted(ins)):
+        col[inp - 1] = 1
+    return [list(row) for row in zip(*cols)]
 
 
 def _assert_point_reads_the_oracle(n, params, point, places):
-    """The powers _Point forms, A^0..A^(n-1) and no more, equal the
-    list-based powers.  Its left rank equals the rank of the partials of
-    c from the list-based adjugate, and every kernel vector annuls those
-    rows.  For each (input, output) place, its Markov rows times the
-    kernel basis equal those formed from the list-based powers: the
+    """The rows _Point forms, A^r M_0 for r = 0..n-1 and no more, equal
+    the list-based powers times the list-based start matrix M_0 mod p,
+    and each slot is semi-reduced, below 2^(bits(p) + 1); the slots are
+    wide enough to sum a row's products of a residue and such a value.
+    Its left rank equals the rank of the partials of c from the
+    list-based adjugate, and every kernel vector annuls those rows.  For
+    each (input, output) place, its Markov rows times the kernel basis,
+    transposed, equal those formed from the list-based powers: the
     partial of h_(t+1) by a_ij is ``-sum_(r+q=t) (u_r[j] - u_r[i])
     v_q[j]``, with the sign dropped."""
     p = point.prime
-    at, lanes, formed = _point_with_its_powers(n, params, point, places)
+    at, start, lanes, formed = _point_with_its_powers(n, params, point, places)
     rows = point_rows(n, params, point)
     powers = matrix_powers(rows, p, n)
-    assert formed == powers
-    assert lanes.s >= 2 * p.bit_length() + max(map(len, rows)).bit_length()
+    m0 = _start_matrix(n, params, {inp for inp, _out in places}, p)
+    assert [_unpack(lanes, row) for row in start] == m0
+    assert len(formed) == n
+    for power, got in zip(powers, formed):
+        assert [[x % p for x in row] for row in got] == [
+            [sum(a * b for a, b in zip(row, col)) % p for col in zip(*m0)]
+            for row in power]
+        assert max(map(max, got)) < 1 << (p.bit_length() + 1)
+    assert lanes.s >= 2 * p.bit_length() + max(map(len, rows)).bit_length() + 1
     adj, _c = adjugate_at(n, params, point)
     cols = [(i - 1 if i else None, j - 1) for (i, j) in params]
     lhs = [[adj[j][j][k] if i is None else (adj[j][j][k] - adj[j][i][k]) % p
@@ -326,9 +359,9 @@ def _assert_point_reads_the_oracle(n, params, point, places):
         markov = [[sum((u[r][j] - (0 if i is None else u[r][i])) * v[t - r][j]
                        for r in range(t + 1)) for (i, j) in cols]
                   for t in range(n - 1)]
-        assert [at.lanes.unpack(row) for row in at.rows(out, inp)] == [
-            [sum(map(operator.mul, h, vec)) % p for vec in kernel]
-            for h in markov], (inp, out)
+        assert [_unpack(at.lanes, row) for row in at.rows(out, inp)] == [
+            [sum(map(operator.mul, h, vec)) % p for h in markov]
+            for vec in kernel], (inp, out)
     return lanes
 
 
@@ -375,6 +408,71 @@ def test_point_reads_the_oracle_powers_random():
                 n, params, point, list(itertools.product(ins, outs)))
             widths.append(lanes.s)
     assert max(widths) == 128
+
+
+def _hk_ranks(at, places):
+    """Per (output, input) place, the rank of its Markov rows times the
+    point's kernel basis."""
+    return [at.markov_rank([out], [inp]) for out, inp in places]
+
+
+def test_point_rank_is_invariant_under_relabelling():
+    # every digraph with n <= 3, leak sets of size <= 1 and every single
+    # placement: at a point whose values follow a permutation of the
+    # compartments, the relabelled model has the same left rank and, for
+    # the relabelled (output, input), the same H K rank.  The tree sweep
+    # rests on this when it ranks one model per automorphism orbit
+    rng = random.Random(79)
+    checked = 0
+    for n, edges in all_digraphs(3):
+        every = range(1, n + 1)
+        places = list(itertools.product(every, repeat=2))
+        for size in (0, 1):
+            for leaks in itertools.combinations(every, size):
+                params = param_vector(mk(n, edges, [1], [1], leaks))
+                point = FieldPoint.random(params, rng.choice(PRIMES), rng)
+                at = _Point(n, params, point, every, every)
+                expected = (at.rank, _hk_ranks(at, places))
+                for perm in itertools.permutations(every):
+                    to = dict(zip((0, *every), (0, *perm)))
+                    moved = param_vector(mk(
+                        n, [(to[f], to[t]) for f, t in edges], [1], [1],
+                        [to[j] for j in leaks]))
+                    values = {(to[i], to[j]): v
+                              for (i, j), v in point.values.items()}
+                    at = _Point(n, moved, FieldPoint(point.prime, values),
+                                every, every)
+                    assert (at.rank, _hk_ranks(at, [
+                        (to[out], to[inp]) for out, inp in places])) \
+                        == expected, (n, edges, leaks, perm)
+                    checked += len(places)
+    assert checked == 2 + 4 * 3 * 2 * 4 + 64 * 4 * 6 * 9
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_power_steps_stay_semi_reduced(p):
+    # one step of the recurrence from the largest semi-reduced slots and
+    # from random ones, with the largest residues and random ones in A:
+    # every slot ends below 2^(bits(p) + 1), congruent to its entry
+    rng = random.Random(p)
+    k = p.bit_length()
+    top = (1 << k + 1) - 1
+    for nnz in (1, 2, 3, 15, 16, 100):
+        lanes = _Lanes(p, 2 * k + nnz.bit_length() + 1, 3)
+        for a_rows in ([[(j, p - 1) for j in range(nnz)]] * nnz,
+                       [[(j, rng.randrange(p)) for j in range(nnz)]
+                        for _ in range(nnz)]):
+            for start in ([[top] * 3] * nnz,
+                          [[rng.randrange(top + 1) for _ in range(3)]
+                           for _ in range(nnz)]):
+                steps = _powers(a_rows, [_pack(row, lanes.s) for row in start],
+                                lanes)
+                next(steps)
+                got = [_unpack(lanes, row) for row in next(steps)]
+                assert max(map(max, got)) <= top
+                assert [[x % p for x in row] for row in got] == [
+                    [sum(a * start[j][c] for j, a in row) % p
+                     for c in range(3)] for row in a_rows]
 
 
 def test_point_leaves_no_cyclic_garbage():
@@ -529,9 +627,12 @@ def test_generic_ranks_rejects_mixed_groups():
 
 
 def test_echelon_rank_equals_gaussian_elimination():
+    # small primes, so random rows are often dependent and semi-reduced
+    # slots often hold a residue plus a multiple of p; the rows come in
+    # semi-reduced, each entry below 2^(bits(p) + 1), at the least slot
+    # width 2 bits(p) + 2
     rng = random.Random(72)
-    p = 7                       # small, so random rows are often dependent
-    for _ in range(300):
+    for p in itertools.islice(itertools.cycle((5, 7, 11)), 600):
         cols = rng.randrange(1, 7)
         rows = [[rng.randrange(p) if rng.random() < 0.7 else 0
                  for _ in range(cols)] for _ in range(rng.randrange(0, 10))]
@@ -540,8 +641,10 @@ def test_echelon_rank_equals_gaussian_elimination():
             rows += [list(rng.choice(rows))] * rng.randrange(2)
         rng.shuffle(rows)
         rank = rank_mod(rows, p)
-        lanes = _Lanes(p, 2 * p.bit_length() + 1, cols)
-        packed = [_pack(row, lanes.s) for row in rows]
+        k = p.bit_length()
+        lanes = _Lanes(p, 2 * k + 2, cols)
+        packed = [_pack([x + p * rng.randrange(((1 << k + 1) - x - 1) // p + 1)
+                         for x in row], lanes.s) for row in rows]
         basis = _echelon(packed, lanes)
         assert len(basis) == rank
         # the kernel basis: cols - rank independent vectors, each
@@ -562,7 +665,7 @@ def test_echelon_rank_equals_gaussian_elimination():
 
 @pytest.mark.parametrize("p", PRIMES + (3, 5, 7, 11, 13))
 def test_lane_reduction_equals_mod_p_slot_by_slot(p):
-    # slot widths of a row step (2 bits(p) + 1) and of Faddeev-LeVerrier
+    # slot widths of a row step (2 bits(p) + 1) and of a matrix product
     # with 16 to 31 row nonzeros; each special value in every slot
     rng = random.Random(p)
     k = p.bit_length()
@@ -577,8 +680,8 @@ def test_lane_reduction_equals_mod_p_slot_by_slot(p):
                       for _ in range(20)]
             for values in cases:
                 packed = _pack(values, s)
-                assert lanes.unpack(packed) == values
-                assert lanes.unpack(lanes.reduce(packed)) == \
+                assert _unpack(lanes, packed) == values
+                assert _unpack(lanes, lanes.reduce(packed)) == \
                     [v % p for v in values]
 
 
