@@ -11,7 +11,6 @@ identifiability.
 from .determinant import (
     IdentityCheckError,
     IoEquation,
-    MinorIdentityReport,
     check_minor_forest_signs,
     check_minor_identities,
     check_stripped_minor_identity,
@@ -67,7 +66,6 @@ from .model import (
     ModelValidationError,
     distance,
     inductively_strong_order,
-    is_inductively_strongly_connected,
     is_strongly_connected,
     load_model,
     model_to_dict,

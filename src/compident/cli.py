@@ -19,6 +19,7 @@ import functools
 import itertools
 import json
 import os
+import random
 import sys
 from typing import Mapping, Sequence
 
@@ -42,7 +43,7 @@ from .identify import (
     verdict_to_dict,
 )
 from .model import Model, ModelValidationError, load_model, \
-    model_to_dict, param_vector
+    model_to_dict, param_vector, serialize_model
 from .poly import _Codec
 from .transforms import ALL_KINDS, AttachmentRequiredError, RankRelationError, \
     Transform, TransformError, apply_transform, verify_rank_relation, \
@@ -276,7 +277,7 @@ def cmd_transform(args) -> int:
         "details": result.details,
     }
     lines = [
-        json.dumps(model_to_dict(result.model), separators=(", ", ": ")),
+        serialize_model(result.model),
         f"guarantee: {result.guarantee or 'none'}",
         f"theorem: {result.theorem}",
     ]
@@ -512,8 +513,6 @@ def _check_flip_equality(m: Model, failures: list):
 
 def run_selftest(seed: int, trials: int) -> dict:
     """Randomized cross-checks of the package's symbolic identities."""
-    import random
-
     failures: list[str] = []
     fixtures = {}
     ref = families.reference_models()

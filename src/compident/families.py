@@ -8,6 +8,8 @@ what the exhaustive tree sweeps iterate over.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from typing import Iterable, Iterator
 
@@ -61,16 +63,12 @@ def labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     if n == 1:
         yield ()
         return
-    if n == 2:
-        yield ((1, 2),)
-        return
 
     def decode(seq: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         degree = [1] * (n + 1)
         for v in seq:
             degree[v] += 1
         edges = []
-        import heapq
         leaves = [v for v in range(1, n + 1) if degree[v] == 1]
         heapq.heapify(leaves)
         for v in seq:
@@ -84,7 +82,6 @@ def labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
         edges.append((min(u, w), max(u, w)))
         return tuple(edges)
 
-    import itertools
     for seq in itertools.product(range(1, n + 1), repeat=n - 2):
         yield decode(seq)
 

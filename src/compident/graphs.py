@@ -61,10 +61,6 @@ class AuxGraph:
             seen.add((src, dst))
             labels.add(lab)
 
-    def out_edges(self, node: int) -> list[int]:
-        """Indices of the edges leaving ``node``."""
-        return [k for k, (src, _dst, _lab) in enumerate(self.edges) if src == node]
-
     def labels(self) -> list[Param]:
         return [lab for (_s, _d, lab) in self.edges]
 

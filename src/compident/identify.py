@@ -149,11 +149,6 @@ class CoefficientMap:
     coeffs: Tuple[Tuple[int, Optional[int], int], ...]
 
     @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(f"y{out}.c{k}" if inp is None else f"y{out}.u{inp}.d{k}"
-                     for (out, inp, k) in self.coeffs)
-
-    @property
     def m(self) -> int:
         return len(self.coeffs)
 
@@ -194,8 +189,6 @@ class RankReport:
 
     rank: int
     trials: Tuple[TrialResult, ...]
-    p: int
-    m: int
 
 
 @dataclass(frozen=True)
@@ -633,8 +626,7 @@ def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,
             r = at.rank + at.markov_rank(m.outputs, m.inputs)
             logs[k].append(TrialResult(prime, trial_seed, r))
             best[k] = max(best[k], r)
-    return [RankReport(best[k], tuple(logs[k]), cm.p, cm.m)
-            for k, cm in enumerate(cms)]
+    return [RankReport(best[k], tuple(logs[k])) for k in range(len(cms))]
 
 
 def count_criterion(m: Model) -> Optional[dict]:

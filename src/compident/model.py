@@ -71,9 +71,6 @@ class Model:
     def compartments(self) -> range:
         return range(1, self.n + 1)
 
-    def out_neighbors(self, i: int) -> list[int]:
-        return sorted(t for (f, t) in self.edges if f == i)
-
     def param_count(self) -> int:
         return len(self.edges) + len(self.leaks)
 
@@ -274,7 +271,3 @@ def inductively_strong_order(m: Model, root: int) -> tuple[int, ...] | None:
         order.append(v)
         used.add(v)
     return tuple(order)
-
-
-def is_inductively_strongly_connected(m: Model, root: int) -> bool:
-    return inductively_strong_order(m, root) is not None

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomial arithmetic over the integers.
+"""Exact multivariate polynomials over the integers, packed and unpacked.
 
 Every symbolic object in this package is built from rate parameters
 ``a_ij`` (flow from compartment j into compartment i, with i = 0 meaning a
@@ -12,7 +12,9 @@ nonzero integer coefficients:
 
 Coefficients are arbitrary-precision ints, so all identities checked by
 the test suite are exact.  There is no floating point anywhere in the
-symbolic path.
+symbolic path.  :class:`Poly` is the unpacked form the forest and
+determinant routes hand out; it compares, hashes and renders, and does
+no ring arithmetic: the package computes on packed monomials only.
 
 The determinant and forest routes build their polynomials on packed
 monomials: over a fixed sorted list of P parameters, parameter k owns
@@ -69,19 +71,9 @@ def param_name(param: Param) -> str:
     return f"a{i}_{j}"
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: dict[Param, int] = dict(a)
-    for p, e in b:
-        exps[p] = exps.get(p, 0) + e
-    return tuple(sorted(exps.items()))
-
-
 class Poly:
-    """Sparse exact polynomial in the ``a_ij`` parameters."""
+    """Sparse exact polynomial in the ``a_ij`` parameters: its terms,
+    equality and canonical text, with no ring arithmetic."""
 
     __slots__ = ("terms",)
 
@@ -90,78 +82,9 @@ class Poly:
             m: c for m, c in (terms or {}).items() if c != 0
         }
 
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
-    def const(c: int) -> "Poly":
-        return Poly({(): c}) if c else Poly()
-
-    @staticmethod
-    def one() -> "Poly":
-        return Poly.const(1)
-
-    @staticmethod
-    def var(param: Param) -> "Poly":
-        return Poly({((param, 1),): 1})
-
-    @staticmethod
-    def monomial(params: Iterable[Param], coeff: int = 1) -> "Poly":
-        """Product of the given parameters (with multiplicity) times coeff."""
-        exps: dict[Param, int] = {}
-        for p in params:
-            exps[p] = exps.get(p, 0) + 1
-        return Poly({tuple(sorted(exps.items())): coeff})
-
-    # -- ring operations ----------------------------------------------
-    def __add__(self, other: "Poly") -> "Poly":
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        res = Poly.__new__(Poly)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "Poly":
-        res = Poly.__new__(Poly)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not self.terms or not other.terms:
-            return Poly()
-        out: dict[Monomial, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
-                s = out.get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        res = Poly.__new__(Poly)
-        res.terms = out
-        return res
-
-    def scale(self, c: int) -> "Poly":
-        if c == 0:
-            return Poly()
-        res = Poly.__new__(Poly)
-        res.terms = {m: c * v for m, v in self.terms.items()}
-        return res
+    @classmethod
+    def one(cls) -> "Poly":
+        return cls({(): 1})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -171,14 +94,6 @@ class Poly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    # -- queries -------------------------------------------------------
-    def degree(self) -> int:
-        """Total degree; 0 for constants including the zero polynomial."""
-        deg = 0
-        for m in self.terms:
-            deg = max(deg, sum(e for _, e in m))
-        return deg
 
     def is_constant(self) -> bool:
         return all(m == () for m in self.terms)

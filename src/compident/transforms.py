@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Model, is_strongly_connected
+from . import determinant
+from .identify import DEFAULT_SEED, DEFAULT_TRIALS, coefficient_map, generic_rank
+from .model import Model, is_strongly_connected, relabel
 
 GUARANTEE_IDENT = "preserves_identifiability"
-GUARANTEE_DIM = "preserves_expected_dimension"
 GUARANTEE_BOTH = "both"
 GUARANTEE_IFF = "iff"
 
@@ -181,8 +182,9 @@ class RankRelationError(AssertionError):
     """A rank or coefficient relation failed -- implementation bug."""
 
 
-def verify_rank_relation(m: Model, t: Transform, *, trials: int | None = None,
-                         seed: int | None = None) -> dict:
+def verify_rank_relation(m: Model, t: Transform, *,
+                         trials: int = DEFAULT_TRIALS,
+                         seed: int = DEFAULT_SEED) -> dict:
     """Check the rank jump and coefficient relations of a leaf move.
 
     Preconditions: m is strongly connected and leakless with input and
@@ -208,18 +210,12 @@ def verify_rank_relation(m: Model, t: Transform, *, trials: int | None = None,
     for other attachment points the model is relabeled first (labels are
     arbitrary, and ranks are invariant under relabeling).
     """
-    from .determinant import check_leaf_edge_identities
-    from .identify import DEFAULT_SEED, DEFAULT_TRIALS, coefficient_map, generic_rank
-    from .model import relabel
-
     if t.kind not in (KIND_ADD_LEAF_MOVE_OUT, KIND_ADD_LEAF_MOVE_IN):
         raise TransformError("rank relation applies to leaf-move transforms only")
     if m.leaks or not is_strongly_connected(m) \
             or not (m.inputs == m.outputs == frozenset({t.at})):
         raise TransformError("rank relation requires a strongly connected leakless "
                          "model with input = output = {at}")
-    trials = DEFAULT_TRIALS if trials is None else trials
-    seed = DEFAULT_SEED if seed is None else seed
 
     if t.at != 1:
         m = relabel(m, {1: t.at, t.at: 1})
@@ -231,7 +227,7 @@ def verify_rank_relation(m: Model, t: Transform, *, trials: int | None = None,
     if rank_after != rank_before + 2:
         raise RankRelationError(
             f"rank after move = {rank_after}, expected {rank_before} + 2")
-    if check_leaf_edge_identities(m)[0]:
+    if determinant.check_leaf_edge_identities(m)[0]:
         raise RankRelationError("c*_0 must vanish for leakless models")
 
     return {

@@ -31,7 +31,7 @@ from compident.determinant import io_equation
 from compident.families import bidirectional_tree_model, labeled_trees
 from compident.graphs import leak_augmented
 from compident.identify import coefficient_map, generic_rank
-from compident.model import load_model
+from compident.model import load_model, parse_model, serialize_model
 from compident.transforms import ALL_KINDS
 
 from conftest import FIXTURES_DIR, count_calls, dropping_a_term, mk, \
@@ -673,11 +673,17 @@ def test_transform_remove_missing_leak(capsys, fixtures_dir):
 
 
 def test_transform_text_output(capsys, fixtures_dir):
-    code, out, _ = run_cli(capsys, "transform", "--op", "add-leaf", "--at", "1",
-                           fixture(fixtures_dir, "cat3_leak1"))
+    argv = ["transform", "--op", "add-leaf", "--at", "1",
+            fixture(fixtures_dir, "cat3_leak1")]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert "guarantee: none" in out  # leaky model, hypotheses unmet
     assert '"compartments": 4' in out
+    # the first line is the canonical text of the model --json reports
+    code, doc, _ = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    moved = parse_model(json.dumps(json.loads(doc)["model"]))
+    assert out.splitlines()[0] == serialize_model(moved)
 
 
 # -- sweeps and selftest --------------------------------------------------------
@@ -983,7 +989,6 @@ def test_main_parses_every_call_afresh_on_one_parser(monkeypatch, capsys,
 
 def test_fixture_files_match_builtin_corpus(fixtures_dir):
     from compident.families import reference_models, reference_verdicts
-    from compident.model import load_model, serialize_model
     with open(os.path.join(fixtures_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     ref = reference_models()

@@ -21,12 +21,12 @@ from compident.families import (random_strongly_connected_edges,
                                 random_strongly_connected_model, reference_models)
 from compident.forests import lhs_coefficients, rhs_coefficients
 from compident.model import param_vector
-from compident.poly import Poly, _Codec
+from compident.poly import _Codec
 from compident.transforms import add_leaf_edge
 
-from conftest import LambdaPoly, SymMatrix, all_digraphs, char_lambda_poly, \
-    closure_strongly_connected, det_bareiss, det_laplace, dropping_a_term, \
-    lambda_shifted, minor_lambda_poly, mk, poly_matrix
+from conftest import LambdaPoly, Poly, SymMatrix, all_digraphs, \
+    char_lambda_poly, closure_strongly_connected, det_bareiss, det_laplace, \
+    dropping_a_term, lambda_shifted, minor_lambda_poly, mk, poly_matrix
 
 REF = reference_models()
 FIG1 = REF["k3_leak"]
@@ -236,8 +236,9 @@ def test_forest_equals_determinant_on_random_corpus():
 # -- identities ------------------------------------------------------------------
 
 def test_leaf_identities_on_chorded_cycle_pair():
-    report = check_minor_identities(REF["chorded_cycle3"])
-    assert "leaf-edge-char" in report.checks
+    m = REF["chorded_cycle3"]
+    assert check_minor_identities(m) is None    # it raises on a failure
+    assert check_stripped_minor_identity(m) == (m.n - 1) ** 2
 
 
 def test_leaf_identities_random_corpus():

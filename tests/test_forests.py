@@ -20,11 +20,11 @@ from compident.forests import (
 )
 from compident.graphs import AuxGraph, flip_into_leak, leak_augmented, strip_outgoing
 from compident.model import distance
-from compident.poly import Poly
 
-from conftest import (Forest, ForestQuery, all_digraphs, brute_force_forests,
-                      enumerate_forests, iter_forests, mk, productivity,
-                      rhs_coefficients_multigraph, undirected_components)
+from conftest import (Forest, ForestQuery, Poly, all_digraphs,
+                      brute_force_forests, enumerate_forests, iter_forests, mk,
+                      productivity, rhs_coefficients_multigraph,
+                      undirected_components)
 
 FIG1 = reference_models()["k3_leak"]
 

@@ -18,7 +18,6 @@ from compident.model import (
     ModelValidationError,
     distance,
     inductively_strong_order,
-    is_inductively_strongly_connected,
     is_strongly_connected,
     param_vector,
     parse_model,
@@ -207,12 +206,12 @@ def test_isc_complete_digraph():
 
 def test_isc_catenary_any_n():
     for n in range(1, 6):
-        assert is_inductively_strongly_connected(catenary(n), 1)
+        assert inductively_strong_order(catenary(n), 1) is not None
 
 
 def test_isc_one_way_cycle_false():
     cyc = mk(3, [(1, 2), (2, 3), (3, 1)], [1], [1])
-    assert not is_inductively_strongly_connected(cyc, 1)
+    assert inductively_strong_order(cyc, 1) is None
     assert not brute_isc(cyc, 1)
 
 
@@ -224,7 +223,8 @@ def test_isc_matches_brute_force_random():
         edges = [e for e in pairs if rng.random() < 0.4]
         m = mk(n, edges, [1], [1])
         root = rng.randrange(1, n + 1)
-        assert is_inductively_strongly_connected(m, root) == brute_isc(m, root)
+        assert (inductively_strong_order(m, root) is not None) \
+            == brute_isc(m, root)
 
 
 def test_isc_order_is_first_brute_force_witness_exhaustive():
@@ -253,7 +253,7 @@ def test_isc_implies_strongly_connected():
         pairs = [(f, t) for f in range(1, n + 1) for t in range(1, n + 1) if f != t]
         edges = [e for e in pairs if rng.random() < 0.35]
         m = mk(n, edges, [1], [1])
-        if is_inductively_strongly_connected(m, 1):
+        if inductively_strong_order(m, 1) is not None:
             assert is_strongly_connected(m)
 
 

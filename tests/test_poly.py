@@ -6,14 +6,9 @@ import pytest
 
 from compident.determinant import io_equation
 from compident.families import reference_models
-from compident.poly import (
-    PRIMES,
-    FieldPoint,
-    Poly,
-    _Codec,
-)
+from compident.poly import PRIMES, FieldPoint, _Codec
 
-from conftest import InexactDivision, LambdaPoly, eval_mod, \
+from conftest import InexactDivision, LambdaPoly, Poly, eval_mod, \
     lambda_exact_div, partial_derivative, poly_exact_div, reference_text
 
 A02, A12, A13, A21, A23, A31, A32 = \
