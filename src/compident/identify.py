@@ -569,6 +569,10 @@ def _kernel(rows: Sequence[int],
     return len(basis), kernel
 
 
+# (model, trials, seed, report) of the latest generic_rank call
+_last_rank: tuple = (None, 0, 0, None)
+
+
 def generic_rank(cm: CoefficientMap, trials: int = DEFAULT_TRIALS,
                  seed: int = DEFAULT_SEED) -> RankReport:
     """Max Jacobian rank over random evaluations, one prime per trial.
@@ -581,8 +585,27 @@ def generic_rank(cm: CoefficientMap, trials: int = DEFAULT_TRIALS,
     early once the rank reaches min(p, m): no further trial can raise it,
     so the reported rank is unchanged and stays monotone in the trial
     budget.
+
+    The latest report is kept in one slot, ``_last_rank``, with the model,
+    ``trials`` and ``seed`` it answers, and a call returns it again when
+    ``cm.model`` is the stored model (identity, not equality) and
+    ``trials`` and ``seed`` equal the stored ones.  So ``analyze`` ranks a
+    map once: :func:`decide_identifiability` and
+    :func:`expected_dimension` each lay out the map of one model and rank
+    it at one seed, and the second call reads the first one's report.  A
+    model that another :func:`~compident.model.load_model` built, even an
+    equal one, is ranked afresh.  The slot holds the model, so its ``id``
+    is not reused while it is stored, and each call replaces the whole
+    slot in one assignment.  The key is the model, not the map, because a
+    map is its model's layout (:func:`coefficient_map`).
     """
-    return generic_ranks([cm], trials, seed)[0]
+    global _last_rank
+    model, last_trials, last_seed, report = _last_rank
+    if cm.model is model and trials == last_trials and seed == last_seed:
+        return report
+    report = generic_ranks([cm], trials, seed)[0]
+    _last_rank = (cm.model, trials, seed, report)
+    return report
 
 
 def generic_ranks(cms: Sequence[CoefficientMap], trials: int = DEFAULT_TRIALS,

@@ -153,13 +153,15 @@ def test_analyze_json_is_pinned_beyond_the_fixtures(capsys, tmp_path, build,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+CYCLE60 = os.path.join(os.path.dirname(__file__), "data",
+                       "cycle60_two_leaks.json")
+
+
 def test_analyze_json_is_pinned_at_60_compartments(capsys):
     # the one-way 60-cycle with the chord 1 -> 30, input and output 1 and
     # leaks 1 and 30: rank 62 of 63 parameters at every trial; the digest
     # of the output before the rank points ran on A^r M_0
-    path = os.path.join(os.path.dirname(__file__), "data",
-                        "cycle60_two_leaks.json")
-    code, out, _ = run_cli(capsys, "analyze", "--json", path)
+    code, out, _ = run_cli(capsys, "analyze", "--json", CYCLE60)
     assert code == EXIT_OK
     doc = json.loads(out)
     assert (doc["verdict"], doc["method"]) == ("unidentifiable",
@@ -168,6 +170,30 @@ def test_analyze_json_is_pinned_at_60_compartments(capsys):
     assert [t["rank"] for t in doc["trials"]] == [62, 62, 62]
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "f5f70f9b4b67ee99f8c52ab60d02323f4704ee4df11ba75977e14dfc7b7f41ba"
+
+
+@pytest.mark.parametrize("path", [CYCLE60,
+                                  os.path.join(FIXTURES_DIR, "cat3_leak1.json"),
+                                  os.path.join(FIXTURES_DIR,
+                                               "chorded_cycle3.json")],
+                         ids=["rank-path", "tree-theorem", "isc-theorem"])
+def test_analyze_ranks_the_map_once(monkeypatch, capsys, path):
+    # the verdict and the expected dimension of a rank-path model read one
+    # report; a certificate decides the verdict with no rank, and the
+    # expected dimension ranks once
+    calls = count_calls(monkeypatch, identify, "generic_ranks")
+    code, out, _ = run_cli(capsys, "analyze", path)
+    assert code == EXIT_OK and len(calls) == 1
+    assert ("method: jacobian_rank" in out) == (path == CYCLE60)
+
+
+def test_analyze_ranks_each_load_afresh(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, identify, "generic_ranks")
+    first = run_cli(capsys, "analyze", CYCLE60)
+    second = run_cli(capsys, "analyze", CYCLE60)
+    assert len(calls) == 2 and first == second
+    assert "rank: 62 (over 3 trial(s))" in first[1]
+    assert "image dimension: 62 of expected 63" in first[1]
 
 
 def test_analyze_malformed_model(capsys, tmp_path):

@@ -627,6 +627,45 @@ def test_generic_ranks_rejects_mixed_groups():
         generic_ranks([coefficient_map(base)], trials=0)
 
 
+# -- the latest report, kept for the model being ranked -------------------------
+
+def _chorded_cycle():
+    # a one-way 4-cycle with a chord and two leaks, input and output 1:
+    # rank 6 of 7 parameters, so every trial runs
+    return mk(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)], [1], [1], [1, 3])
+
+
+def test_generic_rank_reads_the_slot_for_the_same_model(monkeypatch):
+    calls = count_calls(monkeypatch, identify, "generic_ranks")
+    m = _chorded_cycle()
+    first = generic_rank(coefficient_map(m))
+    cm = coefficient_map(m)
+    again = generic_rank(cm)
+    assert len(calls) == 1 and again is first
+    assert len(again.trials) == DEFAULT_TRIALS and again.rank < cm.p
+    assert again == generic_ranks([cm], DEFAULT_TRIALS, DEFAULT_SEED)[0] == \
+        reference_generic_rank(cm, DEFAULT_TRIALS, DEFAULT_SEED)
+
+
+def test_generic_rank_ranks_an_equal_model_afresh(monkeypatch):
+    calls = count_calls(monkeypatch, identify, "generic_ranks")
+    m, twin = _chorded_cycle(), _chorded_cycle()
+    assert m == twin and m is not twin
+    first = generic_rank(coefficient_map(m))
+    second = generic_rank(coefficient_map(twin))
+    assert len(calls) == 2 and second is not first and second == first
+
+
+def test_generic_rank_ranks_another_budget_afresh(monkeypatch):
+    calls = count_calls(monkeypatch, identify, "generic_ranks")
+    cm = coefficient_map(_chorded_cycle())
+    budgets = [(3, 5), (2, 5), (2, 6), (2, 6), (3, 5)]
+    reports = [generic_rank(cm, trials, seed) for trials, seed in budgets]
+    assert len(calls) == 4 and reports[3] is reports[2]
+    assert reports == [reference_generic_rank(cm, trials, seed)
+                       for trials, seed in budgets]
+
+
 def test_echelon_rank_equals_gaussian_elimination():
     # small primes, so random rows are often dependent and semi-reduced
     # slots often hold a residue plus a multiple of p; the rows come in
